@@ -1,7 +1,7 @@
 // Transaction-compliance auditing with durable storage — exercises the
 // R_T specification checking of Eqs. (1)-(2) ("verify the conformance of
 // system states with transaction specifications"), confidential
-// aggregates, and the WAL-backed fragment store.
+// aggregates, and the durable segment store.
 //
 // Scenario: a payment processor logs settlement transactions into the DLA
 // cluster. The compliance rules R_T:
@@ -11,14 +11,14 @@
 //   r3: no replayed events                               (NoDuplicateEvents)
 // The auditor finds the violating transactions, pulls confidential
 // aggregates for the quarterly report, and the DLA node's storage survives
-// a simulated crash via its write-ahead log.
+// a simulated crash via its sealed segments and write-ahead log.
 #include <filesystem>
 #include <iostream>
 #include <optional>
 
 #include "audit/cluster.hpp"
 #include "audit/transaction_audit.hpp"
-#include "logm/wal.hpp"
+#include "logm/storage_engine.hpp"
 #include "logm/workload.hpp"
 
 using namespace dla;
@@ -97,26 +97,30 @@ int main() {
   aggregate("negative-amount events", "C2 < 0.0", audit::AggOp::Count, "");
   aggregate("largest settlement", "Time > 0", audit::AggOp::Max, "C2");
 
-  // --- durable storage: the fragment WAL survives a crash ----------------
+  // --- durable storage: P1's segment engine survives a crash -------------
   namespace fs = std::filesystem;
   auto dir = fs::temp_directory_path() / "dla_compliance_example";
-  fs::create_directories(dir);
-  std::string wal_path = (dir / "p1.wal").string();
-  fs::remove(wal_path);
+  fs::remove_all(dir);
+  logm::SegmentEngine::Options opts;
+  opts.memtable_max_records = 32;  // seal often: segments plus a WAL tail
+  opts.auto_compact = false;       // compaction runs explicitly below
   {
-    logm::WalFragmentStore durable(wal_path);
+    logm::SegmentEngine durable(dir.string(), opts);
     cluster.dla(1).store().for_each(
         [&](const logm::Fragment& f) { durable.put(f); });
-    std::cout << "\nP1 persisted " << durable.store().size()
-              << " fragments to its WAL (" << fs::file_size(wal_path)
-              << " bytes)\n";
-  }  // "crash": the store object is gone
-  logm::WalFragmentStore recovered(wal_path);
-  std::cout << "after restart P1 recovered " << recovered.store().size()
-            << " fragments, " << recovered.corrupt_frames_skipped()
-            << " corrupt frames skipped\n";
-  std::size_t reclaimed = recovered.compact();
-  std::cout << "compaction reclaimed " << reclaimed << " bytes\n";
+    std::cout << "\nP1 persisted " << durable.size() << " fragments ("
+              << durable.segments().size() << " sealed segments, "
+              << durable.memtable().size() << " in its WAL)\n";
+  }  // "crash": the engine object is gone
+  {
+    logm::SegmentEngine recovered(dir.string(), opts);
+    std::cout << "after restart P1 recovered " << recovered.size()
+              << " fragments\n";
+    const std::size_t merges = recovered.compact();
+    std::cout << "compaction ran " << merges << " merge(s), leaving "
+              << recovered.segments().size() << " segment(s) with "
+              << recovered.size() << " fragments\n";
+  }
   fs::remove_all(dir);
   return 0;
 }

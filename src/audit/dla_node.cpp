@@ -107,7 +107,6 @@ void DlaNode::dispatch(net::Transport& sim, const net::Message& msg) {
     case kAccumDeposit: return handle_accum_deposit(sim, msg);
     case kFragmentRequest: return handle_fragment_request(sim, msg);
     case kFragmentDelete: return handle_fragment_delete(sim, msg);
-    case kWatermarkAdvance: return handle_watermark_advance(sim, msg);
     case kSetStart: return handle_set_start(sim, msg);
     case kSetRing: return handle_set_ring(sim, msg);
     case kSetFull: return handle_set_full(sim, msg);
@@ -473,9 +472,9 @@ void DlaNode::handle_log_fragment(net::Transport& sim,
   Ticket ticket = Ticket::decode(r);
   bool is_replica = r.boolean();
   logm::Fragment fragment = logm::Fragment::decode(r);
-  // Trailing copy sequence number, echoed in the ack so the user can tell
-  // a duplicated ack from a distinct copy's ack (absent in old encodings).
-  std::uint32_t copy_seq = r.at_end() ? 0 : r.u32();
+  // Copy sequence number, echoed in the ack so the user can tell a
+  // duplicated ack from a distinct copy's ack.
+  std::uint32_t copy_seq = r.u32();
   r.expect_end();
   bool ok = tickets_->authorizes(ticket, logm::Op::Write, sim.now());
   logm::Glsn glsn = fragment.glsn;
@@ -483,70 +482,12 @@ void DlaNode::handle_log_fragment(net::Transport& sim,
     (is_replica ? *replica_engine_ : *engine_).put(std::move(fragment));
     acl_.grant(ticket.id, ticket.ops);
     acl_.authorize(ticket.id, glsn);
-    advance_store_epoch(sim);
   }
   net::Writer w;
   w.u64(glsn);
   w.boolean(ok);
   w.u32(copy_seq);
-  // Piggyback this owner's store epoch: the writer's session now *observes*
-  // the post-write epoch and presents it with every later query, so a
-  // dropped kWatermarkAdvance can never let a gateway serve this session a
-  // result that predates its own acked write.
-  w.u32(static_cast<std::uint32_t>(index_));
-  w.u64(store_epoch_);
   send_payload(sim, id(), msg.src, kLogAck, std::move(w));
-}
-
-void DlaNode::advance_store_epoch(net::Transport& sim) {
-  ++store_epoch_;
-  logm::Glsn high = 0;
-  if (auto top = engine_->max_glsn()) high = *top;
-  if (auto top = replica_engine_->max_glsn()) high = std::max(high, *top);
-  // Our own gateway cache sees the advance synchronously; peers learn of it
-  // via kWatermarkAdvance, so their cached entries involving this owner die
-  // as soon as the announcement lands — before any query that was issued
-  // after the write's ack can reach them through the same links.
-  result_cache_.watermark_advance(index_, store_epoch_, high);
-  for (std::size_t i = 0; i < cfg_->cluster_size(); ++i) {
-    if (i == index_) continue;
-    net::Writer w;
-    w.u32(static_cast<std::uint32_t>(index_));
-    w.u64(store_epoch_);
-    w.u64(high);
-    send_payload(sim, id(), cfg_->dla_nodes[i], kWatermarkAdvance,
-                 std::move(w));
-  }
-}
-
-void DlaNode::merge_observed_epochs(net::Reader& r) {
-  // Client-observed watermark vector trailing kAuditQuery/kAggregateQuery:
-  // {count u32, (owner u32, epoch u64)*}. Merging it before the cache
-  // lookup closes the session-causality gap left by a dropped
-  // kWatermarkAdvance announcement (the broadcast is fire-and-forget).
-  // Out-of-range owners in a hostile frame are ignored; epochs are merged
-  // monotonically so duplicates and reordering are harmless.
-  auto observed = r.vec<std::pair<std::uint32_t, std::uint64_t>>(
-      [](net::Reader& in) {
-        std::uint32_t owner = in.u32();
-        std::uint64_t epoch = in.u64();
-        return std::make_pair(owner, epoch);
-      });
-  for (const auto& [owner, epoch] : observed) {
-    if (owner >= cfg_->cluster_size()) continue;
-    result_cache_.observe_epoch(owner, epoch);
-  }
-}
-
-void DlaNode::handle_watermark_advance(net::Transport&,
-                                       const net::Message& msg) {
-  net::Reader r(msg.payload);
-  std::size_t owner = r.u32();
-  std::uint64_t epoch = r.u64();
-  logm::Glsn high = r.u64();
-  r.expect_end();
-  if (owner >= cfg_->cluster_size()) return;  // malformed announcement
-  result_cache_.watermark_advance(owner, epoch, high);
 }
 
 void DlaNode::handle_accum_deposit(net::Transport&, const net::Message& msg) {
@@ -618,9 +559,6 @@ void DlaNode::handle_fragment_delete(net::Transport& sim,
       // Tombstone: a late duplicate of the original kAccumDeposit must not
       // resurrect the erased accumulator entry (see handle_accum_deposit).
       deleted_glsns_.insert(glsn);
-      // A delete changes query results just like a write does: cached final
-      // sets naming this owner must not be served afterwards.
-      if (ok) advance_store_epoch(sim);
     }
     delete_journal_[journal_key] = ok;
     delete_order_.push_back(journal_key);
@@ -633,10 +571,6 @@ void DlaNode::handle_fragment_delete(net::Transport& sim,
   w.u64(reqid);
   w.u64(glsn);
   w.boolean(ok);
-  // Same session-causality piggyback as kLogAck: the deleting session must
-  // never be served a cached result that still contains the record.
-  w.u32(static_cast<std::uint32_t>(index_));
-  w.u64(store_epoch_);
   send_payload(sim, id(), msg.src, kDeleteReply, std::move(w));
 }
 
@@ -1606,7 +1540,6 @@ void DlaNode::handle_audit_query(net::Transport& sim,
   const std::uint64_t user_reqid = r.u64();
   Ticket ticket = Ticket::decode(r);
   std::string criterion = r.str();
-  merge_observed_epochs(r);
   r.expect_end();
   if (query_is_duplicate(sim, msg.src, user_reqid)) return;
 
@@ -1701,34 +1634,6 @@ void DlaNode::start_query(net::Transport& sim, QueryState qs,
         break;  // decided when the task runs
     }
   }
-  // Gateway result cache: memoize the pre-ACL-filter final glsn set under
-  // the canonical criterion + resolved owner set. The secret-counting
-  // shortcut never materializes a glsn set, so it bypasses the cache.
-  if (!(qs.tasks.size() == 1 && qs.tasks[0].count_only)) {
-    std::string canonical;
-    for (const auto& sq : conjuncts) {
-      if (!canonical.empty()) canonical += " AND ";
-      canonical += to_text(sq);
-    }
-    std::vector<std::size_t> involved;
-    for (const auto& task : qs.tasks) {
-      for (std::size_t o : task.owners) involved.push_back(o);
-    }
-    std::string key = GatewayResultCache::make_key(canonical, involved);
-    if (const std::vector<logm::Glsn>* cached = result_cache_.lookup(key)) {
-      // Serve through finish_query so the ACL filter, aggregate delegation,
-      // and certification run exactly as on the protocol path.
-      std::vector<logm::Glsn> glsns = *cached;
-      queries_[qid] = std::move(qs);
-      finish_query(sim, queries_[qid], std::move(glsns));
-      return;
-    }
-    // Snapshot involved-owner epochs at PLAN time: if a write lands while
-    // the subqueries run, insert() sees a stale snapshot and refuses to
-    // cache the (pre-write) result.
-    qs.cache_key = std::move(key);
-    qs.cache_epochs = result_cache_.snapshot(involved);
-  }
   queries_[qid] = std::move(qs);
   run_next_task(sim, queries_[qid]);
 }
@@ -1741,7 +1646,6 @@ void DlaNode::handle_aggregate_query(net::Transport& sim,
   std::string criterion = r.str();
   auto op = static_cast<AggOp>(r.u8());
   std::string attr = r.str();
-  merge_observed_epochs(r);
   r.expect_end();
   if (query_is_duplicate(sim, msg.src, user_reqid)) return;
 
@@ -1976,7 +1880,7 @@ void DlaNode::handle_subquery_exec(net::Transport& sim,
     return;
   }
   std::string expr_text = r.str();
-  bool count_only = !r.at_end() && r.boolean();
+  bool count_only = r.boolean();
   r.expect_end();
   Expr expr = parse(expr_text, cfg_->schema);
   std::vector<logm::Glsn> hits = eval_local(expr);
@@ -2247,13 +2151,6 @@ void DlaNode::finish_query(net::Transport& sim, QueryState& qs,
   }
   qs.finishing = true;
   sort_unique(glsns);
-  // Fill the result cache BEFORE the per-ticket ACL filter so the entry is
-  // ticket-neutral; insert() drops the fill if any involved owner advanced
-  // its watermark while the query ran.
-  if (!qs.cache_key.empty()) {
-    result_cache_.insert(qs.cache_key, glsns, qs.cache_epochs);
-    qs.cache_key.clear();
-  }
   if (!qs.ticket.auditor) {
     // User-scope tickets only see their own audit trail (Table 6 ACL).
     std::set<logm::Glsn> allowed = acl_.glsns_of(qs.ticket.id);

@@ -29,7 +29,6 @@
 #include "audit/config.hpp"
 #include "audit/query.hpp"
 #include "audit/replay_guard.hpp"
-#include "audit/result_cache.hpp"
 #include "audit/ticket.hpp"
 #include "audit/wire.hpp"
 #include "crypto/accumulator.hpp"
@@ -100,13 +99,6 @@ class DlaNode : public net::Node {
   void set_chunk_size(std::size_t elements) { set_chunk_size_ = elements; }
   std::size_t chunk_size() const { return set_chunk_size_; }
 
-  // Gateway-side cross-subquery result cache (docs/PROTOCOLS.md "Gateway
-  // result cache"). Exposed for tests; counters live in audit::metrics.
-  GatewayResultCache& result_cache() { return result_cache_; }
-  const GatewayResultCache& result_cache() const { return result_cache_; }
-  // Monotone store epoch: bumped on every acked fragment write/delete and
-  // announced to peers so their result caches invalidate.
-  std::uint64_t store_epoch() const { return store_epoch_; }
   // Ring-pass messages dropped because this node was not listed in the
   // spec's participants (a malformed or misrouted kSetStart/kSetRing).
   // Joining the ring at a fabricated position would corrupt the protocol —
@@ -251,13 +243,6 @@ class DlaNode : public net::Node {
   void handle_accum_deposit(net::Transport& sim, const net::Message& msg);
   void handle_fragment_request(net::Transport& sim, const net::Message& msg);
   void handle_fragment_delete(net::Transport& sim, const net::Message& msg);
-  void handle_watermark_advance(net::Transport& sim, const net::Message& msg);
-  // Bump this node's store epoch after an acked write/delete and announce
-  // the advance to every peer's result cache (and to our own).
-  void advance_store_epoch(net::Transport& sim);
-  // Decode the client-observed watermark vector trailing a query payload
-  // and merge it into the gateway result cache (session causality).
-  void merge_observed_epochs(net::Reader& r);
   void dispatch(net::Transport& sim, const net::Message& msg);
 
   // ---- set ring ----
@@ -361,11 +346,6 @@ class DlaNode : public net::Node {
     // Set once the final result is being certified/aggregated; duplicate
     // completion messages must not re-enter finish_query.
     bool finishing = false;
-    // Result-cache bookkeeping, captured at plan time: the canonical key
-    // and the involved owners' epoch snapshot the fill must be validated
-    // against. Empty key = not cacheable (secret-counting shortcut).
-    std::string cache_key;
-    GatewayResultCache::EpochSnapshot cache_epochs;
   };
   // Compiles the expression tree of one subquery into tasks appended to
   // `tasks`; returns the rid holding the subquery result.
@@ -580,8 +560,6 @@ class DlaNode : public net::Node {
   std::map<SessionId, PendingCombine> pending_combines_;
   std::uint64_t next_qid_ = 1;
   std::uint64_t next_session_ = 1;
-  GatewayResultCache result_cache_;
-  std::uint64_t store_epoch_ = 0;
 
   // distributed key generation.
   struct DkgState {

@@ -87,20 +87,9 @@ void reset_query_engine_counters() {
   detail::query_engine_counters_mut() = QueryEngineCounters{};
 }
 
-namespace detail {
-GatewayCacheCounters& gateway_cache_counters_mut() {
-  static GatewayCacheCounters counters;
-  return counters;
-}
-}  // namespace detail
+GatewayCacheCounters gateway_cache_counters() { return {}; }
 
-GatewayCacheCounters gateway_cache_counters() {
-  return detail::gateway_cache_counters_mut();
-}
-
-void reset_gateway_cache_counters() {
-  detail::gateway_cache_counters_mut() = GatewayCacheCounters{};
-}
+void reset_gateway_cache_counters() {}
 
 namespace detail {
 WireRejectCounters& wire_reject_counters_mut() {

@@ -87,24 +87,20 @@ namespace detail {
 QueryEngineCounters& query_engine_counters_mut();
 }  // namespace detail
 
-// ---- gateway result-cache counters ---------------------------------------
-// Process-wide counters for the gateway-side cross-subquery result cache
-// (src/audit/result_cache.hpp, see docs/PROTOCOLS.md "Gateway result
-// cache"): cache_hits counts queries served from a cached final glsn set,
-// cache_misses counts lookups that fell through to the full pipeline, and
-// cache_invalidations counts cached entries evicted because an involved
-// attribute owner acked a newer fragment write (or delete).
+// ---- gateway result-cache counters (always zero) -------------------------
+// The gateway keeps no result cache (every query reads the owners' live
+// stores), so these always read zero. The struct and its two accessors
+// exist only because the wall-clock benchmark (perfbench/) links them.
 struct GatewayCacheCounters {
+  // DLA-LINT-ALLOW(metrics-registry): always 0, no cache; perfbench reads it
   std::uint64_t cache_hits = 0;
+  // DLA-LINT-ALLOW(metrics-registry): always 0, no cache; perfbench reads it
   std::uint64_t cache_misses = 0;
+  // DLA-LINT-ALLOW(metrics-registry): always 0, no cache; perfbench reads it
   std::uint64_t cache_invalidations = 0;
 };
 GatewayCacheCounters gateway_cache_counters();
 void reset_gateway_cache_counters();
-
-namespace detail {
-GatewayCacheCounters& gateway_cache_counters_mut();
-}  // namespace detail
 
 // ---- wire reject counters ------------------------------------------------
 // Process-wide counters for frames the protocol actors refused to act on

@@ -41,7 +41,6 @@ std::string_view classify_message(MsgType type) {
     case kFragmentReply:
     case kFragmentDelete:
     case kDeleteReply:
-    case kWatermarkAdvance:
       return "logging";
     case kSetStart:
     case kSetRing:
@@ -396,7 +395,6 @@ RunResult run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
 
   reset_crypto_op_counters();
   reset_query_engine_counters();
-  reset_gateway_cache_counters();
   reset_wire_reject_counters();
 
   // Chaos attaches before the first send so RNG draws line up on replay.
@@ -852,7 +850,6 @@ RunResult run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
   res.c_dla = dla_confidentiality(normalized, all_records, schema, partition);
 
   // ---- counter snapshots ----
-  res.cache = gateway_cache_counters();
   res.engine = query_engine_counters();
   res.rejects = wire_reject_counters();
   res.crypto_ops = crypto_op_counters();

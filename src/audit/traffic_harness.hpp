@@ -18,8 +18,8 @@
 //   I5 (result equivalence) becomes a linearizability bounds check: a
 //      completed query's result set must contain every matching record
 //      whose write *by the same session* completed before the query
-//      arrived (session causality — the guarantee the observed-watermark
-//      vector of docs/PROTOCOLS.md enforces through the gateway cache) and
+//      arrived (session causality: an owner stores a fragment before it
+//      acks it, and every query reads the owners' live stores) and
 //      may only contain matching records whose write had at least arrived
 //      before the query completed. Post-drain probe queries are then
 //      checked for exact equality against a local full-record mirror.
@@ -214,7 +214,6 @@ struct RunResult {
   double c_dla = 0.0;
 
   // Counter snapshots for this run (process counters are reset at start).
-  GatewayCacheCounters cache;
   QueryEngineCounters engine;
   WireRejectCounters rejects;
   CryptoOpCounters crypto_ops;

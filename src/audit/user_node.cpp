@@ -11,19 +11,6 @@ void UserNode::configure(ConfigPtr cfg, Ticket ticket) {
   ticket_ = std::move(ticket);
 }
 
-void UserNode::observe_epoch(std::uint32_t owner, std::uint64_t epoch) {
-  std::uint64_t& current = observed_epochs_[owner];
-  current = std::max(current, epoch);
-}
-
-void UserNode::encode_observed_epochs(net::Writer& w) const {
-  w.u32(static_cast<std::uint32_t>(observed_epochs_.size()));
-  for (const auto& [owner, epoch] : observed_epochs_) {
-    w.u32(owner);
-    w.u64(epoch);
-  }
-}
-
 net::NodeId UserNode::pick_gateway() {
   if (pinned_gateway_.has_value()) {
     return cfg_->dla_nodes.at(*pinned_gateway_);
@@ -107,13 +94,7 @@ void UserNode::handle_log_ack(net::Transport&, const net::Message& msg) {
   logm::Glsn glsn = r.u64();
   bool ok = r.boolean();
   std::uint32_t copy_seq = r.u32();
-  // Owner's store epoch after this write: fold it into the session's
-  // observed watermark vector so later queries can prove to any gateway
-  // that this write must already be visible (see merge_observed_epochs).
-  std::uint32_t owner = r.u32();
-  std::uint64_t epoch = r.u64();
   r.expect_end();
-  observe_epoch(owner, epoch);
   auto rit = glsn_to_reqid_.find(glsn);
   if (rit == glsn_to_reqid_.end()) return;
   auto it = pending_logs_.find(rit->second);
@@ -142,7 +123,6 @@ void UserNode::query(net::Transport& sim, std::string criterion,
   w.u64(reqid);
   ticket_.encode(w);
   w.str(criterion);
-  encode_observed_epochs(w);
   sim.send(id(), pick_gateway(), kAuditQuery, std::move(w).take());
 }
 
@@ -180,7 +160,6 @@ void UserNode::aggregate_query(net::Transport& sim, std::string criterion,
   w.str(criterion);
   w.u8(static_cast<std::uint8_t>(op));
   w.str(attr);
-  encode_observed_epochs(w);
   sim.send(id(), pick_gateway(), kAggregateQuery, std::move(w).take());
 }
 
@@ -276,10 +255,7 @@ void UserNode::handle_delete_reply(net::Transport&, const net::Message& msg) {
   std::uint64_t reqid = r.u64();
   r.u64();  // glsn
   bool ok = r.boolean();
-  std::uint32_t owner = r.u32();
-  std::uint64_t epoch = r.u64();
   r.expect_end();
-  observe_epoch(owner, epoch);
   auto it = pending_deletes_.find(reqid);
   if (it == pending_deletes_.end()) return;
   PendingDelete& pending = it->second;

@@ -91,14 +91,6 @@ class UserNode : public net::Node {
 
   void on_message(net::Transport& sim, const net::Message& msg) override;
 
-  // Session-observed store-epoch watermarks: owner cluster index -> highest
-  // epoch seen in that owner's kLogAck/kDeleteReply. Sent with every
-  // query/aggregate so a gateway whose kWatermarkAdvance was dropped still
-  // evicts cache entries stale relative to this session's acked writes.
-  const std::map<std::uint32_t, std::uint64_t>& observed_epochs() const {
-    return observed_epochs_;
-  }
-
   // Outstanding request-tracking entries. A drained fault-free run must
   // leave zero behind; the invariant explorer asserts that.
   std::size_t pending_residue() const {
@@ -115,8 +107,6 @@ class UserNode : public net::Node {
   void handle_delete_reply(net::Transport& sim, const net::Message& msg);
   void handle_aggregate_result(net::Transport& sim, const net::Message& msg);
   net::NodeId pick_gateway();
-  void observe_epoch(std::uint32_t owner, std::uint64_t epoch);
-  void encode_observed_epochs(net::Writer& w) const;
 
   struct PendingLog {
     std::map<std::string, logm::Value> attrs;
@@ -133,8 +123,6 @@ class UserNode : public net::Node {
   Ticket ticket_;
   std::uint64_t next_reqid_ = 1;
   std::uint64_t gateway_rr_ = 0;  // round-robin over DLA nodes
-  // owner cluster index -> highest store epoch acked to this session.
-  std::map<std::uint32_t, std::uint64_t> observed_epochs_;
   std::optional<std::size_t> pinned_gateway_;
 
   std::map<std::uint64_t, PendingLog> pending_logs_;   // by reqid

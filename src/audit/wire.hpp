@@ -34,14 +34,14 @@ enum MsgType : std::uint32_t {
   kGlsnReply = 0x15,     // leader -> gateway -> user {reqid, glsn}
 
   // fragment logging + accumulator deposits
-  kLogFragment = 0x20,   // user -> P_i {ticket, fragment}
-  kLogAck = 0x21,        // P_i -> user {glsn, ok, copy_seq, owner, epoch}
+  kLogFragment = 0x20,   // user -> P_i {ticket, is_replica, fragment, copy_seq}
+  kLogAck = 0x21,        // P_i -> user {glsn, ok, copy_seq}
   kAccumDeposit = 0x22,  // user -> P_i {glsn, accumulator value}
   kFragmentRequest = 0x23,  // user -> P_i {reqid, ticket, glsn}
   kFragmentReply = 0x24,    // P_i -> user {reqid, glsn, ok, fragment}
   kFragmentDelete = 0x25,   // user -> P_i {reqid, ticket, glsn}
-  kDeleteReply = 0x26,      // P_i -> user {reqid, glsn, ok, owner, epoch}
-  kWatermarkAdvance = 0x27, // P_i -> peers {index, store epoch, high glsn}
+  kDeleteReply = 0x26,      // P_i -> user {reqid, glsn, ok}
+  // 0x27: retired id, never reassigned.
 
   // secure set protocols (ring of commutative encryptions). Ring traffic is
   // a stream of fixed-size chunks (SetChunkHeader) so each hop pipelines
@@ -72,17 +72,16 @@ enum MsgType : std::uint32_t {
   kIntegrityPass = 0x70, // P -> next {session, glsn, hops, value, initiator}
 
   // confidential audit queries (Figure 3)
-  kAuditQuery = 0x80,    // user -> gateway {qid, ticket, criterion, observed}
+  kAuditQuery = 0x80,    // user -> gateway {qid, ticket, criterion}
   kAuditResult = 0x81,   // gateway -> user {qid, ok, error, glsns}
-  kSubqueryExec = 0x82,  // gateway -> owner {qid, sq_index, expr, participants}
+  kSubqueryExec = 0x82,  // gateway -> owner {qid, sq_index, expr, count_only}
   kSubqueryDone = 0x83,  // owner -> gateway {qid, sq_index, result_size}
   kSubqueryFetch = 0x84, // gateway -> owner {qid, sq_index} (single-SQ path)
   kSubqueryData = 0x85,  // owner -> gateway {qid, sq_index, glsns}
   kJoinExec = 0x86,      // gateway -> both attr owners {join task parameters}
   kCombineExec = 0x87,   // gateway -> result owners {combine task parameters}
   kCombineReady = 0x88,  // owner -> gateway {qid, rid} (inputs staged)
-  kAggregateQuery = 0x89,  // user -> gateway {qid, ticket, criterion, op,
-                           //                  attr, observed}
+  kAggregateQuery = 0x89,  // user -> gateway {qid, ticket, criterion, op, attr}
   kAggregateExec = 0x8A,   // gateway -> attr owner {qid, op, attr, glsns}
   kAggregateValue = 0x8B,  // owner -> gateway {qid, ok, value}
   kAggregateResult = 0x8C, // gateway -> user {qid, ok, error, value, count}

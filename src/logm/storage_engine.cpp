@@ -24,12 +24,6 @@ StorageStats& storage_stats_mut() { return g_storage_stats; }
 const StorageStats& storage_stats() { return g_storage_stats; }
 void reset_storage_stats() { g_storage_stats = StorageStats{}; }
 
-// ---- MemoryEngine ----------------------------------------------------------
-
-std::optional<Glsn> MemoryEngine::max_glsn() const {
-  return store_.max_glsn();
-}
-
 // ---- ReadTxnTracker --------------------------------------------------------
 
 std::uint64_t ReadTxnTracker::open_txn(std::uint64_t now_us) {
@@ -160,6 +154,15 @@ void SegmentEngine::replay_wal() {
         }
       });
   storage_stats_mut().wal_frames_replayed += stats.replayed;
+  if (stats.corrupt_skipped > 0) {
+    // Cut the torn/corrupt tail off before anything is appended behind it;
+    // otherwise the next replay stops at the same frame and silently drops
+    // every acknowledged frame written after this recovery.
+    std::error_code ec;
+    fs::resize_file(wal_path(), stats.intact_bytes, ec);
+    if (ec) throw SegmentError("SegmentEngine: cannot truncate WAL in " + dir_);
+    if (walio::sync_file(wal_path())) ++file_sync_calls_;
+  }
 }
 
 // ---- WAL -------------------------------------------------------------------
@@ -328,23 +331,6 @@ std::vector<Glsn> SegmentEngine::glsns() const {
   out.reserve(visible_count_);
   scan_visible([&](Glsn g, const Segment*, std::size_t) { out.push_back(g); });
   return out;
-}
-
-std::optional<Glsn> SegmentEngine::max_glsn() const {
-  // Try the per-source maxima newest-down before falling back to a full
-  // merge (only needed when every source maximum is shadowed or deleted).
-  std::vector<Glsn> candidates;
-  if (std::optional<Glsn> m = memtable_.max_glsn()) candidates.push_back(*m);
-  for (const auto& seg : *segments_) {
-    if (seg->rows() > 0) candidates.push_back(seg->glsn_at(seg->rows() - 1));
-  }
-  std::sort(candidates.rbegin(), candidates.rend());
-  for (Glsn g : candidates) {
-    if (contains(g)) return g;
-  }
-  const std::vector<Glsn> all = glsns();
-  if (all.empty()) return std::nullopt;
-  return all.back();
 }
 
 void SegmentEngine::for_each(

@@ -65,10 +65,9 @@ class StorageEngine {
   // Point read; materializes the fragment (segments decode lazily).
   virtual std::optional<Fragment> fetch(Glsn glsn) const = 0;
 
-  // Visible fragment count / glsns / max glsn across memtable + segments.
+  // Visible fragment count / glsns across memtable + segments.
   virtual std::size_t size() const = 0;
   virtual std::vector<Glsn> glsns() const = 0;
-  virtual std::optional<Glsn> max_glsn() const = 0;
 
   // Visits every visible fragment in ascending glsn order, newest version
   // winning. Segment-resident fragments are decoded per visit.
@@ -102,7 +101,6 @@ class MemoryEngine final : public StorageEngine {
   }
   std::size_t size() const override { return store_.size(); }
   std::vector<Glsn> glsns() const override { return store_.glsns(); }
-  std::optional<Glsn> max_glsn() const override;
   void for_each(
       const std::function<void(const Fragment&)>& visit) const override {
     store_.for_each(visit);
@@ -183,7 +181,6 @@ class SegmentEngine final : public StorageEngine {
   std::optional<Fragment> fetch(Glsn glsn) const override;
   std::size_t size() const override { return visible_count_; }
   std::vector<Glsn> glsns() const override;
-  std::optional<Glsn> max_glsn() const override;
   void for_each(
       const std::function<void(const Fragment&)>& visit) const override;
   FragmentStore& memtable() override { return memtable_; }

@@ -97,11 +97,6 @@ class FragmentStore {
   const Fragment* get(Glsn glsn) const;
   bool erase(Glsn glsn);
   std::size_t size() const { return fragments_.size(); }
-  // Largest glsn held; nullopt when empty. O(log n), no materialization.
-  std::optional<Glsn> max_glsn() const {
-    if (fragments_.empty()) return std::nullopt;
-    return fragments_.rbegin()->first;
-  }
 
   // Scan in glsn order; the predicate sees each fragment. Templated so the
   // fallback scan path does not allocate a std::function per call.

@@ -1,37 +1,25 @@
-// Durable fragment storage: a write-ahead log backing FragmentStore.
-//
-// The paper assumes each DLA node has persistent "log storage space"; this
-// substrate provides it. Fragments are appended as length-prefixed,
-// CRC32-protected frames (put and erase operations); opening a store
-// replays the log, stopping at the first torn or corrupt frame — so a node
-// recovers exactly its acknowledged state after a crash. compact() rewrites
-// the live set into a fresh log and atomically swaps it in, fsyncing the
-// tmp log before the rename and the parent directory after it — a stream
-// flush alone leaves the data in the page cache, where a power loss can
-// tear an already-acknowledged frame or unlink both log versions.
+// Write-ahead-log frame I/O for the segment engine's memtable log
+// (logm/storage_engine.hpp). Mutations are appended as length-prefixed,
+// CRC32-protected frames; recovery replays them in order and stops at the
+// first torn or corrupt frame, so a node recovers exactly its acknowledged
+// state after a crash.
 //
 // Frame layout: [u32 len][u32 crc32][u8 op][payload]
 //   op 0 = put  (payload: Fragment encoding)
 //   op 1 = erase(payload: u64 glsn)
-//
-// The frame codec and fsync discipline are shared with the segment engine's
-// memtable WAL (logm/storage_engine.hpp) through the `walio` helpers below:
-// both logs must survive the same crash matrix, so they use the same bytes.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string>
 
-#include "logm/store.hpp"
+#include "net/bytes.hpp"
 
 namespace dla::logm {
 
 // CRC32 (IEEE, reflected) — also used by the tests to corrupt frames.
 std::uint32_t crc32(const std::uint8_t* data, std::size_t len);
 
-// Shared WAL frame I/O: the one implementation of the frame layout above,
-// used by WalFragmentStore and by SegmentEngine's memtable log.
 namespace walio {
 
 constexpr std::uint8_t kOpPut = 0;
@@ -46,12 +34,15 @@ void append_frame(const std::string& path, std::uint8_t op,
 struct ReplayStats {
   std::size_t replayed = 0;         // frames applied
   std::size_t corrupt_skipped = 0;  // torn/corrupt frames (replay stops)
+  std::uint64_t intact_bytes = 0;   // length of the applied frame prefix
 };
 
 // Replays frames in order, invoking apply(op, payload) per intact frame.
 // Stops at the first torn or corrupt frame: a corrupt frame invalidates
 // everything after it — the write was never acknowledged. apply throwing
-// net::CodecError counts the frame corrupt and stops likewise.
+// net::CodecError counts the frame corrupt and stops likewise. A caller
+// that keeps appending must first cut the log back to intact_bytes, or the
+// next replay stops at the same tear and drops every frame appended since.
 ReplayStats replay_frames(
     const std::string& path,
     const std::function<void(std::uint8_t, net::Reader&)>& apply);
@@ -63,55 +54,5 @@ bool sync_file(const std::string& path);
 bool sync_parent_dir(const std::string& path);
 
 }  // namespace walio
-
-class WalFragmentStore {
- public:
-  // Opens (creating if absent) the log at `path` and replays it.
-  explicit WalFragmentStore(std::string path);
-
-  // In-memory view (replayed + subsequent writes).
-  const FragmentStore& store() const { return store_; }
-
-  // Durable operations: appended to the log, then applied in memory.
-  void put(Fragment fragment);
-  bool erase(Glsn glsn);
-
-  // Rewrites the log so it contains only live fragments; returns bytes
-  // reclaimed.
-  std::size_t compact();
-
-  // Number of frames dropped during replay due to corruption/tearing.
-  std::size_t corrupt_frames_skipped() const { return corrupt_skipped_; }
-  std::size_t replayed_frames() const { return replayed_; }
-  const std::string& path() const { return path_; }
-
-  // Durability instrumentation: file fsyncs issued (one per acknowledged
-  // frame plus one for the compacted tmp log) and parent-directory fsyncs
-  // (one per compact, making the rename itself durable). Tests assert on
-  // these; they are best-effort no-ops on platforms without fsync.
-  std::size_t sync_calls() const { return sync_calls_; }
-  std::size_t dir_sync_calls() const { return dir_sync_calls_; }
-
-  // Test hook: invoked after the compacted tmp log is written and synced
-  // but BEFORE the rename swaps it in. Throwing from it simulates a crash
-  // at the most dangerous point of compaction.
-  void set_compact_crash_hook(std::function<void()> hook) {
-    compact_crash_hook_ = std::move(hook);
-  }
-
- private:
-  void append_frame(std::uint8_t op, const net::Bytes& payload);
-  void replay();
-  void sync_file(const std::string& path);
-  void sync_parent_dir(const std::string& path);
-
-  std::string path_;
-  FragmentStore store_;
-  std::size_t corrupt_skipped_ = 0;
-  std::size_t replayed_ = 0;
-  std::size_t sync_calls_ = 0;
-  std::size_t dir_sync_calls_ = 0;
-  std::function<void()> compact_crash_hook_;
-};
 
 }  // namespace dla::logm

@@ -353,15 +353,14 @@ TEST(CodecTruncation, LiveTrafficSurvivesTruncationReplay) {
   }
   ASSERT_GT(replayed, 100u);
   const WireRejectCounters after_truncation = wire_reject_counters();
-  // Most prefixes are structurally invalid; only optional-trailing-field
-  // boundaries (kLogFragment copy_seq, kSubqueryExec count_only) and
-  // replay-guarded duplicates decode cleanly, so the reject counters
+  // Most prefixes are structurally invalid (replay-guarded duplicates are
+  // dropped before their payload is fully decoded), so the reject counters
   // must have absorbed the bulk of the campaign.
   EXPECT_GT(after_truncation.codec_rejects, replayed / 2);
 
   // Trailing garbage: payload decodes fully, then one extra byte. Every
-  // actor must reject via Reader::expect_end (or CodecError where the
-  // trailing byte turns an optional field truncated).
+  // actor must reject it via Reader::expect_end, unless a replay guard
+  // drops the frame first.
   reset_wire_reject_counters();
   std::size_t extended = 0;
   for (const Captured& c : captured) {
@@ -388,51 +387,52 @@ TEST(CodecTruncation, LiveTrafficSurvivesTruncationReplay) {
   EXPECT_EQ(outcome->glsns.size(), 2u);
 }
 
-// The three codecs with a legal optional trailing field: the boundary
-// prefix (field absent) must decode cleanly, one byte past it must not.
-TEST(CodecTruncation, OptionalTrailingFieldBoundariesStayLegal) {
-  // kLogFragment payload tail: ticket + fragment [+ copy_seq u64].
-  TicketService service(std::vector<std::uint8_t>(32, 0x11));
-  Ticket ticket = service.issue("T1", "u0", {logm::Op::Write});
-  logm::Fragment frag;
-  frag.glsn = 5;
-  frag.attrs.emplace("C1", logm::Value(std::int64_t{20}));
-  net::Writer w;
-  ticket.encode(w);
-  frag.encode(w);
-  net::Bytes without_opt = std::move(w).take();
-  {
-    net::Reader r(without_opt);
-    (void)Ticket::decode(r);
-    (void)logm::Fragment::decode(r);
-    EXPECT_TRUE(r.at_end());
-    EXPECT_NO_THROW(r.expect_end());
-  }
-  // With the optional field present the same decode path must consume it
-  // exactly; a single byte of slack must throw either way.
-  net::Writer w2;
-  ticket.encode(w2);
-  frag.encode(w2);
-  w2.u64(31);
-  net::Bytes with_opt = std::move(w2).take();
-  {
-    net::Reader r(with_opt);
-    (void)Ticket::decode(r);
-    (void)logm::Fragment::decode(r);
-    EXPECT_FALSE(r.at_end());
-    EXPECT_EQ(r.u64(), 31u);
-    EXPECT_NO_THROW(r.expect_end());
-  }
-  net::Bytes slack = with_opt;
-  slack.push_back(0x00);
-  {
-    net::Reader r(slack);
-    (void)Ticket::decode(r);
-    (void)logm::Fragment::decode(r);
-    EXPECT_FALSE(r.at_end());
-    (void)r.u64();
-    EXPECT_THROW(r.expect_end(), net::TrailingBytesError);
-  }
+// kLogFragment's copy_seq and kSubqueryExec's count_only are mandatory: a
+// frame that stops right before either is rejected by the owner's real
+// handler and changes no store. The complete frame is the control.
+TEST(CodecTruncation, MissingMandatoryTrailingFieldIsRejected) {
+  Cluster::Options options;
+  options.schema = logm::paper_schema();
+  options.partition = logm::paper_partition();
+  Cluster cluster(options);
+  DlaNode& owner = cluster.dla(0);
+  const net::NodeId user = cluster.user(0).id();
+  auto codec_rejects_of = [&](MsgType type, net::Bytes payload) {
+    reset_wire_reject_counters();
+    cluster.sim().send(user, owner.id(), type, std::move(payload));
+    cluster.run();
+    return wire_reject_counters().codec_rejects;
+  };
+
+  logm::LogRecord record = logm::paper_table1_records().front();
+  record.glsn = 77;
+  net::Writer log;
+  cluster.user(0).ticket().encode(log);
+  log.boolean(false);  // is_replica
+  cluster.config()->partition.fragment(record)[0].encode(log);
+  const net::Bytes log_without_copy_seq = log.bytes();
+  log.u32(0);  // copy_seq
+  EXPECT_EQ(codec_rejects_of(kLogFragment, log_without_copy_seq), 1u);
+  EXPECT_EQ(owner.storage().size(), 0u);
+  EXPECT_EQ(owner.replica_storage().size(), 0u);
+  EXPECT_EQ(codec_rejects_of(kLogFragment, std::move(log).take()), 0u);
+  EXPECT_EQ(owner.storage().size(), 1u);
+
+  // Distinct rids: the owner marks a rid executed before it decodes the
+  // rest of the frame.
+  auto exec = [](std::uint64_t rid, bool with_count_only) {
+    net::Writer w;
+    w.u64(1);  // qid
+    w.u64(rid);
+    w.str("Time > 0");
+    if (with_count_only) w.boolean(false);
+    return std::move(w).take();
+  };
+  EXPECT_EQ(codec_rejects_of(kSubqueryExec, exec(2, false)), 1u);
+  EXPECT_EQ(owner.session_residue(), 0u);  // no result set buffered
+  EXPECT_EQ(codec_rejects_of(kSubqueryExec, exec(3, true)), 0u);
+  EXPECT_EQ(owner.session_residue(), 1u);
+  reset_wire_reject_counters();
 }
 
 }  // namespace

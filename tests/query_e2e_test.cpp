@@ -3,7 +3,11 @@
 // cross subqueries, blind-TTP joins, secure-set conjunction, ACL filtering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "audit/cluster.hpp"
 #include "logm/workload.hpp"
@@ -239,6 +243,88 @@ TEST_F(E2eFixture, QueryResultsFilteredByAclForUserTickets) {
   auto outcome = run_query("protocl = 'UDP'", 1);
   ASSERT_TRUE(outcome.ok) << outcome.error;
   EXPECT_TRUE(outcome.glsns.empty());
+}
+
+// Session causality: once a write or delete is acked, the same session's
+// next query through the same gateway reflects it, and a repeat query
+// answers the same set. The suite name dates from the gateway result cache
+// these cases once guarded; the gateway now keeps no cache, so they pin that
+// no query result ever predates an acked write or delete.
+struct CacheE2e : E2eFixture {
+  CacheE2e() { cluster.user(0).set_gateway(0); }
+
+  // A fresh record matching kCriterion.
+  static std::map<std::string, logm::Value> matching_record() {
+    return {{"Time", logm::Value(std::int64_t{999})},
+            {"id", logm::Value("U1")},
+            {"Tid", logm::Value("T99")},
+            {"protocl", logm::Value("UDP")},
+            {"C1", logm::Value(std::int64_t{1})},
+            {"C2", logm::Value(2.0)},
+            {"C3", logm::Value("c3")}};
+  }
+
+  static constexpr const char* kCriterion = "id = 'U1' AND protocl = 'UDP'";
+};
+
+TEST_F(CacheE2e, WriteInvalidatesAndNextQueryIsFresh) {
+  auto before = run_query(kCriterion);
+  ASSERT_TRUE(before.ok) << before.error;
+  auto repeat = run_query(kCriterion);
+  EXPECT_EQ(before.glsns, repeat.glsns);
+
+  std::optional<logm::Glsn> fresh;
+  cluster.user(0).log_record(cluster.sim(), matching_record(),
+                             [&](std::optional<logm::Glsn> g) { fresh = g; });
+  cluster.run();
+  ASSERT_TRUE(fresh.has_value());
+
+  // The post-write query must include the new record; a stale answer would
+  // return the pre-write set.
+  auto after = run_query(kCriterion);
+  ASSERT_TRUE(after.ok) << after.error;
+  std::vector<logm::Glsn> expected = before.glsns;
+  expected.push_back(*fresh);
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(after.glsns, expected);
+
+  auto again = run_query(kCriterion);
+  EXPECT_EQ(again.glsns, after.glsns);
+}
+
+TEST_F(CacheE2e, DeleteInvalidatesCachedEntry) {
+  // The default cluster ticket lacks Delete; issue an auditor ticket with
+  // it and log one extra matching record we are allowed to delete.
+  Ticket del_ticket = cluster.issue_ticket(
+      "TD", "u0", {logm::Op::Read, logm::Op::Write, logm::Op::Delete},
+      /*auditor=*/true);
+  cluster.user(0).configure(cluster.config(), del_ticket);
+  cluster.user(0).set_gateway(0);
+  std::optional<logm::Glsn> mine;
+  cluster.user(0).log_record(cluster.sim(), matching_record(),
+                             [&](std::optional<logm::Glsn> g) { mine = g; });
+  cluster.run();
+  ASSERT_TRUE(mine.has_value());
+
+  auto before = run_query(kCriterion);
+  ASSERT_TRUE(before.ok) << before.error;
+  ASSERT_TRUE(std::find(before.glsns.begin(), before.glsns.end(), *mine) !=
+              before.glsns.end());
+  EXPECT_EQ(run_query(kCriterion).glsns, before.glsns);
+
+  bool deleted = false;
+  cluster.user(0).delete_record(cluster.sim(), *mine,
+                                [&](bool ok) { deleted = ok; });
+  cluster.run();
+  ASSERT_TRUE(deleted);
+
+  // The next query must not serve the deleted glsn.
+  auto after = run_query(kCriterion);
+  ASSERT_TRUE(after.ok) << after.error;
+  std::vector<logm::Glsn> expected = before.glsns;
+  expected.erase(std::remove(expected.begin(), expected.end(), *mine),
+                 expected.end());
+  EXPECT_EQ(after.glsns, expected);
 }
 
 TEST_F(E2eFixture, WriteRefusedWithoutWriteTicket) {

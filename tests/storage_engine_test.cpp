@@ -63,7 +63,6 @@ TEST_F(EngineFixture, FreshEngineIsEmpty) {
   SegmentEngine eng(dir.string());
   EXPECT_EQ(eng.size(), 0u);
   EXPECT_TRUE(eng.glsns().empty());
-  EXPECT_FALSE(eng.max_glsn().has_value());
   EXPECT_TRUE(eng.segments().empty());
 }
 
@@ -74,7 +73,6 @@ TEST_F(EngineFixture, PutFetchEraseAcrossSealBoundaries) {
   }
   EXPECT_GT(eng.segments().size(), 0u) << "threshold should have sealed";
   EXPECT_EQ(eng.size(), 100u);
-  EXPECT_EQ(eng.max_glsn().value(), 100u);
 
   // Point reads hit both tiers.
   for (Glsn g : {Glsn{1}, Glsn{50}, Glsn{100}}) {
@@ -119,7 +117,6 @@ TEST_F(EngineFixture, StateSurvivesReopen) {
   EXPECT_FALSE(reopened.contains(10));
   EXPECT_FALSE(reopened.contains(59));
   EXPECT_EQ(reopened.fetch(5)->attrs.at("id").as_text(), "U9");
-  EXPECT_EQ(reopened.max_glsn().value(), 60u);
 }
 
 TEST_F(EngineFixture, ManualSealAndCompactConvergeToOneSegment) {

@@ -1,11 +1,15 @@
-// Tests for the durable WAL-backed fragment store: replay, crash recovery
-// semantics (torn/corrupt tails), erase frames, and compaction.
+// Tests for the segment engine's write-ahead log (wal.log): replay on
+// reopen, crash recovery semantics (torn/corrupt tails), erase frames,
+// per-frame fsync, and that recovery cuts a bad tail off before new frames
+// are appended behind it.
 #include "logm/wal.hpp"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+
+#include "logm/storage_engine.hpp"
 
 namespace dla::logm {
 namespace {
@@ -18,11 +22,19 @@ struct WalFixture : ::testing::Test {
           ("dla_wal_test_" + std::to_string(::getpid()) + "_" +
            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::create_directories(dir);
-    path = (dir / "fragments.wal").string();
+    wal = (dir / "wal.log").string();
   }
   ~WalFixture() override {
     std::error_code ec;
     fs::remove_all(dir, ec);
+  }
+
+  // Manual sealing keeps every mutation in wal.log; the default sync mode
+  // fsyncs each acknowledged frame.
+  SegmentEngine open() const {
+    SegmentEngine::Options opts;
+    opts.memtable_max_records = 0;
+    return SegmentEngine(dir.string(), opts);
   }
 
   Fragment frag(Glsn glsn, std::int64_t time) {
@@ -32,173 +44,169 @@ struct WalFixture : ::testing::Test {
     return f;
   }
 
+  // Replays wal.log without applying anything, for its frame counts.
+  walio::ReplayStats scan_wal() const {
+    return walio::replay_frames(wal, [](std::uint8_t op, net::Reader& r) {
+      if (op == walio::kOpPut) {
+        (void)Fragment::decode(r);
+      } else {
+        (void)r.u64();
+      }
+    });
+  }
+
+  // Flips one byte in the middle of the log: with three equal-size frames
+  // it lands inside the second frame's payload.
+  void flip_middle_byte() const {
+    const auto offset = static_cast<std::streamoff>(fs::file_size(wal) / 2);
+    std::fstream f(wal, std::ios::binary | std::ios::in | std::ios::out);
+    char byte = 0;
+    f.seekg(offset);
+    f.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0xFF);
+    f.seekp(offset);
+    f.write(&byte, 1);
+  }
+
   fs::path dir;
-  std::string path;
+  std::string wal;
 };
 
 TEST_F(WalFixture, FreshStoreIsEmpty) {
-  WalFragmentStore wal(path);
-  EXPECT_EQ(wal.store().size(), 0u);
-  EXPECT_EQ(wal.replayed_frames(), 0u);
+  SegmentEngine eng = open();
+  EXPECT_EQ(eng.size(), 0u);
+  EXPECT_EQ(scan_wal().replayed, 0u);
 }
 
 TEST_F(WalFixture, PutSurvivesReopen) {
   {
-    WalFragmentStore wal(path);
-    wal.put(frag(1, 100));
-    wal.put(frag(2, 200));
+    SegmentEngine eng = open();
+    eng.put(frag(1, 100));
+    eng.put(frag(2, 200));
   }
-  WalFragmentStore reopened(path);
-  EXPECT_EQ(reopened.store().size(), 2u);
-  EXPECT_EQ(reopened.replayed_frames(), 2u);
-  ASSERT_NE(reopened.store().get(2), nullptr);
-  EXPECT_EQ(reopened.store().get(2)->attrs.at("Time").as_int(), 200);
+  EXPECT_EQ(scan_wal().replayed, 2u);
+  SegmentEngine reopened = open();
+  EXPECT_EQ(reopened.size(), 2u);
+  ASSERT_TRUE(reopened.fetch(2).has_value());
+  EXPECT_EQ(reopened.fetch(2)->attrs.at("Time").as_int(), 200);
 }
 
 TEST_F(WalFixture, EraseSurvivesReopen) {
   {
-    WalFragmentStore wal(path);
-    wal.put(frag(1, 100));
-    wal.put(frag(2, 200));
-    EXPECT_TRUE(wal.erase(1));
-    EXPECT_FALSE(wal.erase(99));  // unknown glsn: no frame written
+    SegmentEngine eng = open();
+    eng.put(frag(1, 100));
+    eng.put(frag(2, 200));
+    EXPECT_TRUE(eng.erase(1));
+    EXPECT_FALSE(eng.erase(99));  // unknown glsn: no frame written
   }
-  WalFragmentStore reopened(path);
-  EXPECT_EQ(reopened.store().size(), 1u);
-  EXPECT_EQ(reopened.store().get(1), nullptr);
-  EXPECT_NE(reopened.store().get(2), nullptr);
+  EXPECT_EQ(scan_wal().replayed, 3u);
+  SegmentEngine reopened = open();
+  EXPECT_EQ(reopened.size(), 1u);
+  EXPECT_FALSE(reopened.contains(1));
+  EXPECT_TRUE(reopened.contains(2));
 }
 
 TEST_F(WalFixture, OverwriteKeepsLatestValue) {
   {
-    WalFragmentStore wal(path);
-    wal.put(frag(1, 100));
-    wal.put(frag(1, 999));
+    SegmentEngine eng = open();
+    eng.put(frag(1, 100));
+    eng.put(frag(1, 999));
   }
-  WalFragmentStore reopened(path);
-  EXPECT_EQ(reopened.store().size(), 1u);
-  EXPECT_EQ(reopened.store().get(1)->attrs.at("Time").as_int(), 999);
+  SegmentEngine reopened = open();
+  EXPECT_EQ(reopened.size(), 1u);
+  EXPECT_EQ(reopened.fetch(1)->attrs.at("Time").as_int(), 999);
 }
 
 TEST_F(WalFixture, TornTailIsDroppedCleanly) {
   {
-    WalFragmentStore wal(path);
-    wal.put(frag(1, 100));
-    wal.put(frag(2, 200));
+    SegmentEngine eng = open();
+    eng.put(frag(1, 100));
+    eng.put(frag(2, 200));
   }
   // Simulate a crash mid-append: truncate the last 5 bytes.
-  auto size = fs::file_size(path);
-  fs::resize_file(path, size - 5);
-  WalFragmentStore recovered(path);
-  EXPECT_EQ(recovered.store().size(), 1u);
-  EXPECT_NE(recovered.store().get(1), nullptr);
-  EXPECT_EQ(recovered.store().get(2), nullptr);
-  EXPECT_EQ(recovered.corrupt_frames_skipped(), 1u);
+  fs::resize_file(wal, fs::file_size(wal) - 5);
+  const walio::ReplayStats stats = scan_wal();
+  EXPECT_EQ(stats.replayed, 1u);
+  EXPECT_EQ(stats.corrupt_skipped, 1u);
+  SegmentEngine recovered = open();
+  EXPECT_EQ(recovered.size(), 1u);
+  EXPECT_TRUE(recovered.contains(1));
+  EXPECT_FALSE(recovered.contains(2));
+  // Recovery cut the log back to its intact prefix.
+  EXPECT_EQ(fs::file_size(wal), stats.intact_bytes);
 }
 
 TEST_F(WalFixture, BitFlipInvalidatesFrameAndTail) {
   {
-    WalFragmentStore wal(path);
-    wal.put(frag(1, 100));
-    wal.put(frag(2, 200));
-    wal.put(frag(3, 300));
+    SegmentEngine eng = open();
+    eng.put(frag(1, 100));
+    eng.put(frag(2, 200));
+    eng.put(frag(3, 300));
   }
-  // Flip one byte inside the SECOND frame's payload.
-  auto size = fs::file_size(path);
-  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-  f.seekp(static_cast<std::streamoff>(size / 2));
-  char byte;
-  f.seekg(static_cast<std::streamoff>(size / 2));
-  f.read(&byte, 1);
-  byte = static_cast<char>(byte ^ 0xFF);
-  f.seekp(static_cast<std::streamoff>(size / 2));
-  f.write(&byte, 1);
-  f.close();
-  WalFragmentStore recovered(path);
-  // Recovery keeps the prefix before the corruption and drops the rest.
-  EXPECT_LT(recovered.store().size(), 3u);
-  EXPECT_GE(recovered.corrupt_frames_skipped(), 1u);
+  flip_middle_byte();
+  const walio::ReplayStats stats = scan_wal();
+  EXPECT_EQ(stats.replayed, 1u);
+  EXPECT_EQ(stats.corrupt_skipped, 1u);
+  // Recovery keeps the prefix before the corruption and drops the rest,
+  // including the intact third frame behind it.
+  SegmentEngine recovered = open();
+  EXPECT_EQ(recovered.size(), 1u);
+  EXPECT_TRUE(recovered.contains(1));
+  EXPECT_FALSE(recovered.contains(3));
 }
 
-TEST_F(WalFixture, CompactShrinksAndPreservesState) {
-  std::size_t reclaimed;
+// Recovery must cut a bad tail off wal.log: a frame appended behind it is
+// acknowledged (and fsynced), yet the next reopen would stop at the same
+// tear and lose it.
+TEST_F(WalFixture, WriteAfterTornTailRecoverySurvivesReopen) {
   {
-    WalFragmentStore wal(path);
-    for (Glsn g = 1; g <= 20; ++g) wal.put(frag(g, static_cast<std::int64_t>(g)));
-    for (Glsn g = 1; g <= 15; ++g) wal.erase(g);
-    reclaimed = wal.compact();
+    SegmentEngine eng = open();
+    eng.put(frag(1, 100));
+    eng.put(frag(2, 200));
   }
-  EXPECT_GT(reclaimed, 0u);
-  WalFragmentStore reopened(path);
-  EXPECT_EQ(reopened.store().size(), 5u);
-  for (Glsn g = 16; g <= 20; ++g) {
-    EXPECT_NE(reopened.store().get(g), nullptr) << g;
+  fs::resize_file(wal, fs::file_size(wal) - 5);
+  {
+    SegmentEngine recovered = open();
+    ASSERT_EQ(recovered.size(), 1u);
+    recovered.put(frag(3, 300));
   }
-  EXPECT_EQ(reopened.corrupt_frames_skipped(), 0u);
+  SegmentEngine reopened = open();
+  EXPECT_EQ(reopened.size(), 2u);
+  EXPECT_TRUE(reopened.contains(1));
+  EXPECT_TRUE(reopened.contains(3));
+  EXPECT_EQ(scan_wal().corrupt_skipped, 0u);
 }
 
-TEST_F(WalFixture, CompactedLogReplaysFasterFrames) {
+TEST_F(WalFixture, WriteAfterBitFlipRecoverySurvivesReopen) {
   {
-    WalFragmentStore wal(path);
-    for (Glsn g = 1; g <= 10; ++g) wal.put(frag(g, 1));
-    for (Glsn g = 1; g <= 10; ++g) wal.put(frag(g, 2));  // overwrites
-    wal.compact();
+    SegmentEngine eng = open();
+    eng.put(frag(1, 100));
+    eng.put(frag(2, 200));
+    eng.put(frag(3, 300));
   }
-  WalFragmentStore reopened(path);
-  EXPECT_EQ(reopened.replayed_frames(), 10u);  // one frame per live fragment
-  EXPECT_EQ(reopened.store().get(7)->attrs.at("Time").as_int(), 2);
+  flip_middle_byte();
+  {
+    SegmentEngine recovered = open();
+    ASSERT_EQ(recovered.size(), 1u);
+    recovered.put(frag(4, 400));
+  }
+  SegmentEngine reopened = open();
+  EXPECT_EQ(reopened.size(), 2u);
+  EXPECT_TRUE(reopened.contains(1));
+  EXPECT_TRUE(reopened.contains(4));
+  EXPECT_FALSE(reopened.contains(3));
+  EXPECT_EQ(scan_wal().corrupt_skipped, 0u);
 }
 
 TEST_F(WalFixture, AppendSyncsEveryAcknowledgedFrame) {
-  WalFragmentStore wal(path);
-  EXPECT_EQ(wal.sync_calls(), 0u);
-  wal.put(frag(1, 100));
-  wal.put(frag(2, 200));
-  wal.erase(1);
+  SegmentEngine eng = open();
+  EXPECT_EQ(eng.file_sync_calls(), 0u);
+  eng.put(frag(1, 100));
+  eng.put(frag(2, 200));
+  eng.erase(1);
   // One fsync per acknowledged frame (2 puts + 1 erase): flush() alone
   // leaves frames in the page cache, where a power cut can tear them.
-  EXPECT_EQ(wal.sync_calls(), 3u);
-}
-
-TEST_F(WalFixture, CompactSyncsTmpAndParentDirectory) {
-  WalFragmentStore wal(path);
-  for (Glsn g = 1; g <= 5; ++g) wal.put(frag(g, static_cast<std::int64_t>(g)));
-  const std::size_t before = wal.sync_calls();
-  EXPECT_EQ(wal.dir_sync_calls(), 0u);
-  wal.compact();
-  // compact must sync the fully-written tmp log before the rename and the
-  // parent directory after it; both were previously skipped entirely.
-  EXPECT_EQ(wal.sync_calls(), before + 1);
-  EXPECT_EQ(wal.dir_sync_calls(), 1u);
-}
-
-TEST_F(WalFixture, CrashBeforeCompactRenameRecoversPreCompactState) {
-  struct CompactCrash {};
-  {
-    WalFragmentStore wal(path);
-    for (Glsn g = 1; g <= 20; ++g)
-      wal.put(frag(g, static_cast<std::int64_t>(g)));
-    for (Glsn g = 1; g <= 15; ++g) wal.erase(g);
-    // Simulate the process dying after the tmp log is written+synced but
-    // before the rename publishes it: the live log must be untouched.
-    wal.set_compact_crash_hook([] { throw CompactCrash{}; });
-    EXPECT_THROW(wal.compact(), CompactCrash);
-  }
-  WalFragmentStore reopened(path);
-  EXPECT_EQ(reopened.store().size(), 5u);
-  EXPECT_EQ(reopened.corrupt_frames_skipped(), 0u);
-  for (Glsn g = 16; g <= 20; ++g) {
-    ASSERT_NE(reopened.store().get(g), nullptr) << g;
-    EXPECT_EQ(reopened.store().get(g)->attrs.at("Time").as_int(),
-              static_cast<std::int64_t>(g));
-  }
-  // The interrupted tmp log is still on disk; a rerun of compact() from the
-  // recovered store must succeed and leave the same live set.
-  std::size_t reclaimed = reopened.compact();
-  EXPECT_GT(reclaimed, 0u);
-  WalFragmentStore after(path);
-  EXPECT_EQ(after.store().size(), 5u);
-  EXPECT_EQ(after.replayed_frames(), 5u);
+  EXPECT_EQ(eng.file_sync_calls(), 3u);
 }
 
 TEST(WalCrc, KnownVector) {

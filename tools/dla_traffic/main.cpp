@@ -232,9 +232,6 @@ void emit_run(std::ostream& os, const RunResult& r) {
   os << "     \"c_store\": " << fmt(r.c_store)
      << ", \"c_auditing\": " << fmt(r.c_auditing)
      << ", \"c_dla\": " << fmt(r.c_dla) << ",\n";
-  os << "     \"cache\": {\"hits\": " << r.cache.cache_hits
-     << ", \"misses\": " << r.cache.cache_misses
-     << ", \"invalidations\": " << r.cache.cache_invalidations << "},\n";
   os << "     \"wire_rejects\": {\"codec\": " << r.rejects.codec_rejects
      << ", \"trailing\": " << r.rejects.trailing_rejects
      << ", \"parse\": " << r.rejects.parse_rejects << "},\n";
