@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -11,6 +12,187 @@
 
 namespace dla::audit {
 namespace {
+
+// ---- column sources ----------------------------------------------------------
+//
+// The planner below is written once, as templates over a column source. A
+// source holds rows in ascending glsn order and offers, per attribute, an
+// index handle with column stats, sorted glsn runs for equality and range
+// probes, and per-row cell access for the compiled program:
+//
+//   MemtableSource  a FragmentStore's columnar mirror: AttributeIndex
+//                   postings runs and `const Value*` cells;
+//   SegmentSource   an immutable mmap'd segment: binary search over the
+//                   per-attribute ValueLess order array, and cells decoded
+//                   only when a predicate reaches them.
+//
+// Each source also names the counters the plan's events land in.
+
+// Bounds of a range probe; a null side is unbounded.
+struct Bounds {
+  const logm::Value* lo = nullptr;
+  bool lo_incl = false;
+  const logm::Value* hi = nullptr;
+  bool hi_incl = false;
+};
+
+// What the estimator and the zone-map test read about a non-empty column:
+// its present-row count and ValueLess minimum and maximum.
+struct ColumnStats {
+  std::size_t present = 0;
+  const logm::Value* min = nullptr;
+  const logm::Value* max = nullptr;
+};
+
+class MemtableSource {
+ public:
+  using Cells = logm::FragmentStore::Column;
+  using Index = logm::AttributeIndex;
+  // An out-of-range probe costs one postings-map lookup that returns an
+  // empty run, so the memtable skips the zone-map step and counts that
+  // probe as an index hit.
+  static constexpr bool kZoneMaps = false;
+
+  explicit MemtableSource(const logm::FragmentStore& store)
+      : store_(store), ctr_(detail::query_engine_counters_mut()) {}
+
+  std::size_t rows() const { return store_.row_count(); }
+  logm::Glsn glsn_at(std::size_t row) const { return store_.row_glsns()[row]; }
+  std::optional<std::size_t> row_of(logm::Glsn glsn) const {
+    return store_.row_of(glsn);
+  }
+
+  const Cells* cells(const std::string& attr) const {
+    return store_.column(attr);
+  }
+  const logm::Value* cell(const Cells& col, std::size_t row) const {
+    return col.cells[row];
+  }
+
+  // nullptr when no row carries the attribute.
+  const Index* index(const std::string& attr) const {
+    const Index* idx = store_.attr_index(attr);
+    return idx != nullptr && idx->rows() > 0 ? idx : nullptr;
+  }
+  ColumnStats stats(const Index& idx) const {
+    return {idx.rows(), idx.min_value(), idx.max_value()};
+  }
+  std::size_t count_equal(const Index& idx, const logm::Value& v) const {
+    const std::vector<logm::Glsn>* run = idx.equal(v);
+    return run == nullptr ? 0 : run->size();
+  }
+  std::vector<logm::Glsn> equal(const Index& idx, const logm::Value& v) const {
+    const std::vector<logm::Glsn>* run = idx.equal(v);
+    return run == nullptr ? std::vector<logm::Glsn>{} : *run;
+  }
+  std::vector<logm::Glsn> range(const Index& idx, const Bounds& b) const {
+    return idx.range(b.lo, b.lo_incl, b.hi, b.hi_incl);
+  }
+
+  // An absent column ended the plan before any probe ran.
+  void count_pruned(std::size_t conjuncts) const {
+    ctr_.conjuncts_short_circuited += conjuncts;
+  }
+  // A probe emptied the intersection; `conjuncts` never ran.
+  void count_short_circuit(std::size_t conjuncts) const {
+    ctr_.conjuncts_short_circuited += conjuncts;
+  }
+  void count_probe() const { ++ctr_.index_hits; }
+  void count_full_scan() const { ++ctr_.planner_fallbacks; }
+  void count_rows(std::size_t rows) const { ctr_.rows_scanned += rows; }
+
+ private:
+  const logm::FragmentStore& store_;
+  QueryEngineCounters& ctr_;
+};
+
+class SegmentSource {
+ public:
+  using Cells = logm::Segment::AttrView;
+  using Index = logm::Segment::AttrView;
+  static constexpr bool kZoneMaps = true;
+
+  explicit SegmentSource(const logm::Segment& seg)
+      : seg_(seg), st_(logm::storage_stats_mut()) {}
+
+  std::size_t rows() const { return seg_.rows(); }
+  logm::Glsn glsn_at(std::size_t row) const { return seg_.glsn_at(row); }
+  std::optional<std::size_t> row_of(logm::Glsn glsn) const {
+    return seg_.row_of(glsn);
+  }
+
+  const Cells* cells(const std::string& attr) const { return seg_.attr(attr); }
+  // Decodes the row's cell; nullopt when the row lacks the attribute.
+  std::optional<logm::Value> cell(const Cells& col, std::size_t row) const {
+    const std::optional<std::uint32_t> j =
+        seg_.present_pos(col, static_cast<std::uint32_t>(row));
+    if (!j) return std::nullopt;
+    return seg_.cell_value(col, *j);
+  }
+
+  // Segments never store an attribute with zero present rows.
+  const Index* index(const std::string& attr) const { return seg_.attr(attr); }
+  ColumnStats stats(const Index& idx) const {
+    return {idx.present, &idx.min, &idx.max};
+  }
+  std::size_t count_equal(const Index& idx, const logm::Value& v) const {
+    const auto [first, last] = slice(idx, Bounds{&v, true, &v, true});
+    return last - first;
+  }
+  std::vector<logm::Glsn> equal(const Index& idx, const logm::Value& v) const {
+    return range(idx, Bounds{&v, true, &v, true});
+  }
+  std::vector<logm::Glsn> range(const Index& idx, const Bounds& b) const {
+    const auto [first, last] = slice(idx, b);
+    std::vector<logm::Glsn> out;
+    out.reserve(last - first);
+    for (std::uint32_t k = first; k < last; ++k) {
+      out.push_back(seg_.glsn_at(seg_.row_at(idx, seg_.order_at(idx, k))));
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  void count_pruned(std::size_t) const { ++st_.zone_map_skips; }
+  void count_short_circuit(std::size_t) const {}
+  void count_probe() const { ++st_.segment_probe_hits; }
+  void count_full_scan() const {}
+  void count_rows(std::size_t rows) const { st_.segment_rows_decoded += rows; }
+
+ private:
+  // Order-array positions [first, last) whose cells lie within `b`.
+  std::pair<std::uint32_t, std::uint32_t> slice(const Index& idx,
+                                                const Bounds& b) const {
+    const std::uint32_t first =
+        b.lo == nullptr ? 0 : partition_point(idx, *b.lo, !b.lo_incl);
+    const std::uint32_t last =
+        b.hi == nullptr ? idx.present : partition_point(idx, *b.hi, b.hi_incl);
+    return {first, std::max(first, last)};
+  }
+
+  // First order-array position whose cell lies above v, or — with
+  // `past_equal` false — at or above v.
+  std::uint32_t partition_point(const Index& idx, const logm::Value& v,
+                                bool past_equal) const {
+    const logm::ValueLess less;
+    std::uint32_t lo = 0, hi = idx.present;
+    while (lo < hi) {
+      const std::uint32_t mid = lo + (hi - lo) / 2;
+      const logm::Value cell = seg_.cell_value(idx, seg_.order_at(idx, mid));
+      if (past_equal ? !less(v, cell) : less(cell, v)) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  }
+
+  const logm::Segment& seg_;
+  logm::StorageStats& st_;
+};
+
+// ---- compiled program ------------------------------------------------------
 
 // Tri-state row verdict replicating the naive evaluator's exception
 // semantics: `evaluate` throws std::out_of_range at the first missing
@@ -21,92 +203,108 @@ namespace {
 // bit-for-bit even on fragments carrying a subset of the attributes.
 enum class Tri : std::uint8_t { False, True, Missing };
 
-// Flat compiled predicate program. Pred leaves carry pre-resolved column
-// pointers, so per-row evaluation does no string hashing, no map lookups
-// and no std::function indirection.
-struct ProgNode {
-  Expr::Kind kind = Expr::Kind::Pred;
-  CmpOp op = CmpOp::Eq;
-  bool rhs_is_attr = false;
-  const logm::FragmentStore::Column* lhs_col = nullptr;
-  const logm::FragmentStore::Column* rhs_col = nullptr;
-  const logm::Value* rhs_const = nullptr;  // points into the source Expr
-  std::uint32_t children_begin = 0;        // into Program::child_idx
-  std::uint32_t children_count = 0;
-};
+// Flat compiled program for the conjunction of some conjuncts. Pred leaves
+// carry pre-resolved column handles, so per-row evaluation does no string
+// hashing, no map lookups and no std::function indirection. The conjuncts
+// must outlive the program: Pred leaves alias their rhs constants.
+template <class Src>
+class Program {
+ public:
+  Program(const Src& src, std::span<const Expr* const> conjuncts)
+      : src_(src) {
+    if (conjuncts.size() == 1) {
+      root_ = compile(*conjuncts.front());
+      return;
+    }
+    std::vector<std::uint32_t> kids;
+    kids.reserve(conjuncts.size());
+    for (const Expr* conjunct : conjuncts) kids.push_back(compile(*conjunct));
+    root_ = add(Node{.kind = Expr::Kind::And}, kids);
+  }
 
-struct Program {
-  std::vector<ProgNode> nodes;
-  std::vector<std::uint32_t> child_idx;
-  std::uint32_t root = 0;
+  bool matches(std::size_t row) const { return eval(root_, row) == Tri::True; }
+
+ private:
+  struct Node {
+    Expr::Kind kind = Expr::Kind::Pred;
+    CmpOp op = CmpOp::Eq;
+    bool rhs_is_attr = false;
+    const typename Src::Cells* lhs = nullptr;
+    const typename Src::Cells* rhs = nullptr;
+    const logm::Value* rhs_const = nullptr;
+    std::uint32_t children_begin = 0;  // into child_idx_
+    std::uint32_t children_count = 0;
+  };
+
+  std::uint32_t compile(const Expr& expr) {
+    Node nd{.kind = expr.kind};
+    std::vector<std::uint32_t> kids;
+    if (expr.kind == Expr::Kind::Pred) {
+      nd.op = expr.pred.op;
+      nd.rhs_is_attr = expr.pred.rhs_is_attr;
+      nd.lhs = src_.cells(expr.pred.lhs);
+      if (expr.pred.rhs_is_attr) {
+        nd.rhs = src_.cells(expr.pred.rhs_attr);
+      } else {
+        nd.rhs_const = &expr.pred.rhs_const;
+      }
+    } else {
+      kids.reserve(expr.children.size());
+      for (const Expr& child : expr.children) kids.push_back(compile(child));
+    }
+    return add(nd, kids);
+  }
+
+  std::uint32_t add(Node nd, const std::vector<std::uint32_t>& kids) {
+    nd.children_begin = static_cast<std::uint32_t>(child_idx_.size());
+    nd.children_count = static_cast<std::uint32_t>(kids.size());
+    child_idx_.insert(child_idx_.end(), kids.begin(), kids.end());
+    nodes_.push_back(nd);
+    return static_cast<std::uint32_t>(nodes_.size() - 1);
+  }
 
   Tri eval(std::uint32_t node, std::size_t row) const {
-    const ProgNode& nd = nodes[node];
+    const Node& nd = nodes_[node];
     switch (nd.kind) {
       case Expr::Kind::Pred: {
-        const logm::Value* lhs = nd.lhs_col ? nd.lhs_col->cells[row] : nullptr;
-        if (lhs == nullptr) return Tri::Missing;
-        const logm::Value* rhs =
-            nd.rhs_is_attr ? (nd.rhs_col ? nd.rhs_col->cells[row] : nullptr)
-                           : nd.rhs_const;
-        if (rhs == nullptr) return Tri::Missing;
+        if (nd.lhs == nullptr) return Tri::Missing;
+        const auto lhs = src_.cell(*nd.lhs, row);
+        if (!lhs) return Tri::Missing;
+        if (!nd.rhs_is_attr) {
+          return compare_values(*lhs, nd.op, *nd.rhs_const) ? Tri::True
+                                                             : Tri::False;
+        }
+        if (nd.rhs == nullptr) return Tri::Missing;
+        const auto rhs = src_.cell(*nd.rhs, row);
+        if (!rhs) return Tri::Missing;
         return compare_values(*lhs, nd.op, *rhs) ? Tri::True : Tri::False;
       }
       case Expr::Kind::And:
         for (std::uint32_t i = 0; i < nd.children_count; ++i) {
-          Tri v = eval(child_idx[nd.children_begin + i], row);
+          Tri v = eval(child_idx_[nd.children_begin + i], row);
           if (v != Tri::True) return v;
         }
         return Tri::True;
       case Expr::Kind::Or:
         for (std::uint32_t i = 0; i < nd.children_count; ++i) {
-          Tri v = eval(child_idx[nd.children_begin + i], row);
+          Tri v = eval(child_idx_[nd.children_begin + i], row);
           if (v != Tri::False) return v;
         }
         return Tri::False;
       case Expr::Kind::Not: {
-        Tri v = eval(child_idx[nd.children_begin], row);
+        Tri v = eval(child_idx_[nd.children_begin], row);
         if (v == Tri::Missing) return v;
         return v == Tri::True ? Tri::False : Tri::True;
       }
     }
     throw std::logic_error("local_query: corrupt program");
   }
+
+  const Src& src_;
+  std::vector<Node> nodes_;
+  std::vector<std::uint32_t> child_idx_;
+  std::uint32_t root_ = 0;
 };
-
-std::uint32_t compile_node(const Expr& expr, const logm::FragmentStore& store,
-                           Program& prog) {
-  ProgNode nd{};
-  nd.kind = expr.kind;
-  if (expr.kind == Expr::Kind::Pred) {
-    nd.op = expr.pred.op;
-    nd.rhs_is_attr = expr.pred.rhs_is_attr;
-    nd.lhs_col = store.column(expr.pred.lhs);
-    if (expr.pred.rhs_is_attr) {
-      nd.rhs_col = store.column(expr.pred.rhs_attr);
-    } else {
-      nd.rhs_const = &expr.pred.rhs_const;
-    }
-  } else {
-    std::vector<std::uint32_t> kids;
-    kids.reserve(expr.children.size());
-    for (const Expr& child : expr.children) {
-      kids.push_back(compile_node(child, store, prog));
-    }
-    nd.children_begin = static_cast<std::uint32_t>(prog.child_idx.size());
-    nd.children_count = static_cast<std::uint32_t>(kids.size());
-    prog.child_idx.insert(prog.child_idx.end(), kids.begin(), kids.end());
-  }
-  prog.nodes.push_back(nd);
-  return static_cast<std::uint32_t>(prog.nodes.size() - 1);
-}
-
-// The Expr must outlive the program: Pred leaves alias its rhs constants.
-Program compile(const Expr& expr, const logm::FragmentStore& store) {
-  Program prog;
-  prog.root = compile_node(expr, store, prog);
-  return prog;
-}
 
 // ---- index access paths ----------------------------------------------------
 
@@ -115,18 +313,62 @@ struct Probe {
   const logm::Value* value = nullptr;  // points into the source Expr
 };
 
-// One index access path. Either a disjunction of probes over one attribute
-// (equality / OR-fan), or — when `probes` is empty — a bounded range scan:
-// same-attribute range conjuncts (`Time >= a AND Time <= b`, the BETWEEN
-// shape) fuse into a single [lo, hi] slice instead of materializing and
-// intersecting two broad half-open runs.
+// The values one probe selects: equality is the closed [v, v], an ordered
+// probe is one-sided. (Ne is never a probe.)
+Bounds bounds_of(const Probe& probe) {
+  switch (probe.op) {
+    case CmpOp::Eq:
+      return {probe.value, true, probe.value, true};
+    case CmpOp::Gt:
+    case CmpOp::Ge:
+      return {probe.value, probe.op == CmpOp::Ge, nullptr, false};
+    default:
+      return {nullptr, false, probe.value, probe.op == CmpOp::Le};
+  }
+}
+
+// Narrows `into` to its intersection with `b`; on an equivalent bound value
+// the strict comparison wins.
+void narrow(Bounds& into, const Bounds& b) {
+  const logm::ValueLess less;
+  if (b.lo != nullptr) {
+    if (into.lo == nullptr || less(*into.lo, *b.lo)) {
+      into.lo = b.lo;
+      into.lo_incl = b.lo_incl;
+    } else if (!less(*b.lo, *into.lo)) {
+      into.lo_incl = into.lo_incl && b.lo_incl;
+    }
+  }
+  if (b.hi != nullptr) {
+    if (into.hi == nullptr || less(*b.hi, *into.hi)) {
+      into.hi = b.hi;
+      into.hi_incl = b.hi_incl;
+    } else if (!less(*into.hi, *b.hi)) {
+      into.hi_incl = into.hi_incl && b.hi_incl;
+    }
+  }
+}
+
+// Can some value in the column's [min, max] satisfy `b`?
+bool overlaps(const ColumnStats& st, const Bounds& b) {
+  const logm::ValueLess less;
+  if (b.lo != nullptr &&
+      (b.lo_incl ? less(*st.max, *b.lo) : !less(*b.lo, *st.max))) {
+    return false;
+  }
+  return b.hi == nullptr ||
+         !(b.hi_incl ? less(*b.hi, *st.min) : !less(*st.min, *b.hi));
+}
+
+// One index access path over one attribute: a disjunction of probes (an
+// equality or an OR-fan), or — when `probes` is empty — a bounded range
+// that same-attribute range conjuncts (`Time >= a AND Time <= b`, the
+// BETWEEN shape) fuse into.
+template <class Src>
 struct AccessPath {
-  const logm::AttributeIndex* index = nullptr;
-  std::vector<Probe> probes;  // disjunction over one attribute
-  const logm::Value* lo = nullptr;
-  bool lo_incl = false;
-  const logm::Value* hi = nullptr;
-  bool hi_incl = false;
+  const typename Src::Index* index = nullptr;
+  std::vector<Probe> probes;
+  Bounds range;
   double estimate = 0.0;
   std::vector<const Expr*> sources;  // conjuncts folded into this path
 };
@@ -136,76 +378,15 @@ struct AccessPath {
 // columns with numeric probes, because the naive path *throws*
 // std::invalid_argument on ordered text-vs-numeric comparisons and that
 // throw must propagate identically (so such shapes stay residual). Ne and
-// attribute-vs-attribute predicates are never index probes.
-bool indexable_probe(const logm::AttributeIndex& idx, const Predicate& pred) {
+// attribute-vs-attribute predicates are never index probes. The column's
+// ValueLess maximum is numeric exactly when every value is, because
+// numerics sort before text.
+template <class Src>
+bool indexable(const Src& src, const typename Src::Index& idx,
+               const Predicate& pred) {
   if (pred.rhs_is_attr || pred.op == CmpOp::Ne) return false;
   if (pred.op == CmpOp::Eq) return true;
-  const logm::Value* mx = idx.max_value();
-  return pred.rhs_const.is_numeric() && (mx == nullptr || mx->is_numeric());
-}
-
-// Estimated matching rows for an equality/OR-fan probe: exact postings
-// sizes (the cheap, precise half of the column stats).
-double estimate_probe(const logm::AttributeIndex& idx, CmpOp op,
-                      const logm::Value& value) {
-  if (op == CmpOp::Eq) {
-    const std::vector<logm::Glsn>* run = idx.equal(value);
-    return run == nullptr ? 0.0 : static_cast<double>(run->size());
-  }
-  return static_cast<double>(idx.rows());  // not used for range paths
-}
-
-// Estimated matching rows for a bounded range: interpolate both bounds
-// between the column's min/max (equi-width assumption).
-double estimate_range(const logm::AttributeIndex& idx, const logm::Value* lo,
-                      const logm::Value* hi, bool lo_incl, bool hi_incl) {
-  if (idx.rows() == 0) return 0.0;
-  const logm::Value* mn = idx.min_value();
-  const logm::Value* mx = idx.max_value();
-  if (!mn->is_numeric() || !mx->is_numeric()) {
-    return static_cast<double>(idx.rows()) / 2.0;
-  }
-  const double col_lo = mn->as_real();
-  const double col_hi = mx->as_real();
-  if (col_hi <= col_lo) {  // single distinct value: all in or all out
-    bool in = true;
-    if (lo) in = in && compare_values(*mn, lo_incl ? CmpOp::Ge : CmpOp::Gt,
-                                      *lo);
-    if (hi) in = in && compare_values(*mn, hi_incl ? CmpOp::Le : CmpOp::Lt,
-                                      *hi);
-    return in ? static_cast<double>(idx.rows()) : 0.0;
-  }
-  const double width = col_hi - col_lo;
-  const double f_lo =
-      lo ? std::clamp((lo->as_real() - col_lo) / width, 0.0, 1.0) : 0.0;
-  const double f_hi =
-      hi ? std::clamp((hi->as_real() - col_lo) / width, 0.0, 1.0) : 1.0;
-  return std::max(0.0, f_hi - f_lo) * static_cast<double>(idx.rows());
-}
-
-// Tightens a path's bounds with another one-sided range predicate; on an
-// equivalent bound value, the strict comparison wins. Templated so the
-// segment paths below share the exact same fusing semantics.
-template <class Path>
-void tighten_bounds(Path& path, CmpOp op, const logm::Value* value) {
-  const logm::ValueLess less;
-  if (op == CmpOp::Gt || op == CmpOp::Ge) {
-    const bool incl = op == CmpOp::Ge;
-    if (path.lo == nullptr || less(*path.lo, *value)) {
-      path.lo = value;
-      path.lo_incl = incl;
-    } else if (!less(*value, *path.lo) && !incl) {
-      path.lo_incl = false;
-    }
-  } else {
-    const bool incl = op == CmpOp::Le;
-    if (path.hi == nullptr || less(*value, *path.hi)) {
-      path.hi = value;
-      path.hi_incl = incl;
-    } else if (!less(*path.hi, *value) && !incl) {
-      path.hi_incl = false;
-    }
-  }
+  return pred.rhs_const.is_numeric() && src.stats(idx).max->is_numeric();
 }
 
 // An indexable conjunct is a constant predicate on one indexed attribute,
@@ -213,520 +394,226 @@ void tighten_bounds(Path& path, CmpOp op, const logm::Value* value) {
 // IN-lists desugar to). Same-attribute matters for equivalence: the naive
 // OR aborts the whole row when an earlier child hits a missing attribute,
 // so a union across different attributes could admit rows the scan rejects.
-std::optional<AccessPath> make_access_path(const Expr& conjunct,
-                                           const logm::FragmentStore& store) {
-  if (conjunct.kind == Expr::Kind::Pred) {
-    const logm::AttributeIndex* idx = store.attr_index(conjunct.pred.lhs);
-    if (idx == nullptr || !indexable_probe(*idx, conjunct.pred)) {
-      return std::nullopt;
-    }
-    AccessPath path;
-    path.index = idx;
-    path.sources.push_back(&conjunct);
-    if (conjunct.pred.op == CmpOp::Eq) {
-      path.probes.push_back(Probe{CmpOp::Eq, &conjunct.pred.rhs_const});
-      path.estimate = estimate_probe(*idx, CmpOp::Eq, conjunct.pred.rhs_const);
-    } else {
-      // Ordered predicates become range paths so same-attribute conjuncts
-      // can fuse into one bounded slice before execution.
-      tighten_bounds(path, conjunct.pred.op, &conjunct.pred.rhs_const);
-      path.estimate = estimate_range(*idx, path.lo, path.hi, path.lo_incl,
-                                     path.hi_incl);
-    }
-    return path;
-  }
-  if (conjunct.kind != Expr::Kind::Or || conjunct.children.empty()) {
+template <class Src>
+std::optional<AccessPath<Src>> make_access_path(const Src& src,
+                                                const Expr& conjunct) {
+  const bool fan = conjunct.kind == Expr::Kind::Or;
+  if (!fan && conjunct.kind != Expr::Kind::Pred) return std::nullopt;
+  const std::span<const Expr> preds =
+      fan ? std::span<const Expr>(conjunct.children)
+          : std::span<const Expr>(&conjunct, 1);
+  if (preds.empty() || preds.front().kind != Expr::Kind::Pred) {
     return std::nullopt;
   }
-  const Expr& first = conjunct.children.front();
-  if (first.kind != Expr::Kind::Pred) return std::nullopt;
-  const logm::AttributeIndex* idx = store.attr_index(first.pred.lhs);
-  if (idx == nullptr) return std::nullopt;
-  AccessPath path;
-  path.index = idx;
+  const std::string& attr = preds.front().pred.lhs;
+  AccessPath<Src> path;
+  path.index = src.index(attr);
+  if (path.index == nullptr) return std::nullopt;
   path.sources.push_back(&conjunct);
-  for (const Expr& child : conjunct.children) {
-    if (child.kind != Expr::Kind::Pred || child.pred.lhs != first.pred.lhs ||
-        !indexable_probe(*idx, child.pred)) {
+  for (const Expr& child : preds) {
+    if (child.kind != Expr::Kind::Pred || child.pred.lhs != attr ||
+        !indexable(src, *path.index, child.pred)) {
       return std::nullopt;
     }
     path.probes.push_back(Probe{child.pred.op, &child.pred.rhs_const});
-    path.estimate += estimate_probe(*idx, child.pred.op, child.pred.rhs_const);
   }
-  path.estimate =
-      std::min(path.estimate, static_cast<double>(idx->rows()));
+  // A lone ordered predicate becomes a range path so same-attribute
+  // conjuncts can fuse into one bounded slice before execution.
+  if (!fan && path.probes.front().op != CmpOp::Eq) {
+    path.range = bounds_of(path.probes.front());
+    path.probes.clear();
+  }
   return path;
 }
 
-std::vector<logm::Glsn> run_for_probe(const logm::AttributeIndex& idx,
-                                      const Probe& probe) {
-  switch (probe.op) {
-    case CmpOp::Eq: {
-      const std::vector<logm::Glsn>* run = idx.equal(*probe.value);
-      return run == nullptr ? std::vector<logm::Glsn>{} : *run;
-    }
-    case CmpOp::Lt:
-      return idx.range(nullptr, false, probe.value, false);
-    case CmpOp::Le:
-      return idx.range(nullptr, false, probe.value, true);
-    case CmpOp::Gt:
-      return idx.range(probe.value, false, nullptr, false);
-    case CmpOp::Ge:
-      return idx.range(probe.value, true, nullptr, false);
-    default:
-      return {};
-  }
+// Zone-map test: can any row of the source satisfy the path?
+template <class Src>
+bool zone_may_match(const Src& src, const AccessPath<Src>& path) {
+  const ColumnStats st = src.stats(*path.index);
+  if (path.probes.empty()) return overlaps(st, path.range);
+  return std::any_of(path.probes.begin(), path.probes.end(),
+                     [&](const Probe& p) { return overlaps(st, bounds_of(p)); });
 }
 
-std::vector<logm::Glsn> execute_path(const AccessPath& path) {
-  if (path.probes.empty()) {
-    return path.index->range(path.lo, path.lo_incl, path.hi, path.hi_incl);
-  }
-  std::vector<logm::Glsn> out = run_for_probe(*path.index, path.probes[0]);
-  for (std::size_t i = 1; i < path.probes.size(); ++i) {
-    out = logm::union_sorted(out, run_for_probe(*path.index, path.probes[i]));
-  }
-  return out;
-}
-
-// Merges range paths over the same index into one bounded [lo, hi] slice —
-// `Time >= a AND Time <= b` executes as a single postings-map walk instead
-// of two broad half-open runs intersected afterwards.
-void fuse_range_paths(std::vector<AccessPath>& paths) {
-  std::vector<AccessPath> fused;
+// Merges range paths over the same attribute into one bounded [lo, hi]
+// slice, so `Time >= a AND Time <= b` executes as one probe instead of two
+// broad half-open runs intersected afterwards.
+template <class Src>
+void fuse_range_paths(std::vector<AccessPath<Src>>& paths) {
+  std::vector<AccessPath<Src>> fused;
   fused.reserve(paths.size());
-  for (AccessPath& path : paths) {
-    AccessPath* host = nullptr;
+  for (AccessPath<Src>& path : paths) {
+    auto host = fused.end();
     if (path.probes.empty()) {
-      for (AccessPath& f : fused) {
-        if (f.probes.empty() && f.index == path.index) {
-          host = &f;
-          break;
-        }
-      }
+      host = std::find_if(fused.begin(), fused.end(), [&](const auto& f) {
+        return f.probes.empty() && f.index == path.index;
+      });
     }
-    if (host == nullptr) {
+    if (host == fused.end()) {
       fused.push_back(std::move(path));
       continue;
     }
-    if (path.lo != nullptr) {
-      tighten_bounds(*host, path.lo_incl ? CmpOp::Ge : CmpOp::Gt, path.lo);
-    }
-    if (path.hi != nullptr) {
-      tighten_bounds(*host, path.hi_incl ? CmpOp::Le : CmpOp::Lt, path.hi);
-    }
+    narrow(host->range, path.range);
     host->sources.insert(host->sources.end(), path.sources.begin(),
                          path.sources.end());
-    host->estimate = estimate_range(*host->index, host->lo, host->hi,
-                                    host->lo_incl, host->hi_incl);
   }
   paths = std::move(fused);
 }
 
-// ---- segment evaluation ----------------------------------------------------
-//
-// The same planner semantics, replayed against an immutable mmap'd segment
-// (logm/segment.hpp): zone maps prune whole segments, the per-attribute
-// ValueLess order array answers equality/range probes by binary search, and
-// a compiled program evaluates residual rows with per-cell lazy decode — no
-// fragment is materialized. Indexability rules mirror indexable_probe
-// exactly so segment results stay bit-identical to the scan.
-
-// Lazily-decoding compiled program: the segment twin of Program above. Pred
-// leaves hold attribute directory entries instead of mirror columns; a cell
-// decodes only when its predicate is actually reached for a row.
-struct SegProgNode {
-  Expr::Kind kind = Expr::Kind::Pred;
-  CmpOp op = CmpOp::Eq;
-  bool rhs_is_attr = false;
-  const logm::Segment::AttrView* lhs_attr = nullptr;
-  const logm::Segment::AttrView* rhs_attr = nullptr;
-  const logm::Value* rhs_const = nullptr;
-  std::uint32_t children_begin = 0;
-  std::uint32_t children_count = 0;
-};
-
-struct SegProgram {
-  const logm::Segment* seg = nullptr;
-  std::vector<SegProgNode> nodes;
-  std::vector<std::uint32_t> child_idx;
-  std::uint32_t root = 0;
-
-  Tri eval(std::uint32_t node, std::uint32_t row) const {
-    const SegProgNode& nd = nodes[node];
-    switch (nd.kind) {
-      case Expr::Kind::Pred: {
-        if (nd.lhs_attr == nullptr) return Tri::Missing;
-        const std::optional<std::uint32_t> lj = seg->present_pos(*nd.lhs_attr, row);
-        if (!lj) return Tri::Missing;
-        if (nd.rhs_is_attr) {
-          if (nd.rhs_attr == nullptr) return Tri::Missing;
-          const std::optional<std::uint32_t> rj =
-              seg->present_pos(*nd.rhs_attr, row);
-          if (!rj) return Tri::Missing;
-          return compare_values(seg->cell_value(*nd.lhs_attr, *lj), nd.op,
-                                seg->cell_value(*nd.rhs_attr, *rj))
-                     ? Tri::True
-                     : Tri::False;
-        }
-        return compare_values(seg->cell_value(*nd.lhs_attr, *lj), nd.op,
-                              *nd.rhs_const)
-                   ? Tri::True
-                   : Tri::False;
-      }
-      case Expr::Kind::And:
-        for (std::uint32_t i = 0; i < nd.children_count; ++i) {
-          Tri v = eval(child_idx[nd.children_begin + i], row);
-          if (v != Tri::True) return v;
-        }
-        return Tri::True;
-      case Expr::Kind::Or:
-        for (std::uint32_t i = 0; i < nd.children_count; ++i) {
-          Tri v = eval(child_idx[nd.children_begin + i], row);
-          if (v != Tri::False) return v;
-        }
-        return Tri::False;
-      case Expr::Kind::Not: {
-        Tri v = eval(child_idx[nd.children_begin], row);
-        if (v == Tri::Missing) return v;
-        return v == Tri::True ? Tri::False : Tri::True;
-      }
+// Estimated matching rows: exact run sizes for equality probes; for a
+// range, both bounds interpolated between the column's min and max
+// (equi-width assumption).
+template <class Src>
+double estimate_rows(const Src& src, const AccessPath<Src>& path) {
+  const ColumnStats st = src.stats(*path.index);
+  const double rows = static_cast<double>(st.present);
+  if (!path.probes.empty()) {
+    double sum = 0.0;
+    for (const Probe& probe : path.probes) {
+      sum += probe.op == CmpOp::Eq
+                 ? static_cast<double>(src.count_equal(*path.index, *probe.value))
+                 : rows;
     }
-    throw std::logic_error("local_query: corrupt segment program");
+    return std::min(sum, rows);
   }
-};
-
-std::uint32_t compile_seg_node(const Expr& expr, const logm::Segment& seg,
-                               SegProgram& prog) {
-  SegProgNode nd{};
-  nd.kind = expr.kind;
-  if (expr.kind == Expr::Kind::Pred) {
-    nd.op = expr.pred.op;
-    nd.rhs_is_attr = expr.pred.rhs_is_attr;
-    nd.lhs_attr = seg.attr(expr.pred.lhs);
-    if (expr.pred.rhs_is_attr) {
-      nd.rhs_attr = seg.attr(expr.pred.rhs_attr);
-    } else {
-      nd.rhs_const = &expr.pred.rhs_const;
-    }
-  } else {
-    std::vector<std::uint32_t> kids;
-    kids.reserve(expr.children.size());
-    for (const Expr& child : expr.children) {
-      kids.push_back(compile_seg_node(child, seg, prog));
-    }
-    nd.children_begin = static_cast<std::uint32_t>(prog.child_idx.size());
-    nd.children_count = static_cast<std::uint32_t>(kids.size());
-    prog.child_idx.insert(prog.child_idx.end(), kids.begin(), kids.end());
+  // Range paths only exist over all-numeric columns with numeric bounds
+  // (see indexable), so every as_real() below is defined.
+  const double col_lo = st.min->as_real();
+  const double col_hi = st.max->as_real();
+  if (col_hi <= col_lo) {  // single distinct value: all in or all out
+    return overlaps(st, path.range) ? rows : 0.0;
   }
-  prog.nodes.push_back(nd);
-  return static_cast<std::uint32_t>(prog.nodes.size() - 1);
-}
-
-SegProgram compile_segment(const Expr& expr, const logm::Segment& seg) {
-  SegProgram prog;
-  prog.seg = &seg;
-  prog.root = compile_seg_node(expr, seg, prog);
-  return prog;
-}
-
-// First order-array position whose cell is not ValueLess-below v.
-std::uint32_t seg_lower_bound(const logm::Segment& seg,
-                              const logm::Segment::AttrView& view,
-                              const logm::Value& v) {
-  const logm::ValueLess less;
-  std::uint32_t lo = 0, hi = view.present;
-  while (lo < hi) {
-    const std::uint32_t mid = lo + (hi - lo) / 2;
-    if (less(seg.cell_value(view, seg.order_at(view, mid)), v)) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-// First order-array position whose cell is ValueLess-above v.
-std::uint32_t seg_upper_bound(const logm::Segment& seg,
-                              const logm::Segment::AttrView& view,
-                              const logm::Value& v) {
-  const logm::ValueLess less;
-  std::uint32_t lo = 0, hi = view.present;
-  while (lo < hi) {
-    const std::uint32_t mid = lo + (hi - lo) / 2;
-    if (less(v, seg.cell_value(view, seg.order_at(view, mid)))) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return lo;
-}
-
-// The segment analog of indexable_probe: same rules, with the zone-map max
-// standing in for AttributeIndex::max_value (both are the ValueLess maximum
-// of the column, so text-in-column disables ordered probes identically).
-bool seg_indexable_probe(const logm::Segment::AttrView& view,
-                         const Predicate& pred) {
-  if (pred.rhs_is_attr || pred.op == CmpOp::Ne) return false;
-  if (pred.op == CmpOp::Eq) return true;
-  return pred.rhs_const.is_numeric() && view.max.is_numeric();
-}
-
-// One segment access path: Eq/OR-fan probes or a fused range over one
-// attribute's order array.
-struct SegPath {
-  const logm::Segment::AttrView* view = nullptr;
-  std::vector<Probe> probes;  // empty => range path
-  const logm::Value* lo = nullptr;
-  bool lo_incl = false;
-  const logm::Value* hi = nullptr;
-  bool hi_incl = false;
-  double estimate = 0.0;
-};
-
-double seg_estimate_range(const logm::Segment::AttrView& view,
-                          const logm::Value* lo, const logm::Value* hi) {
-  if (!view.min.is_numeric() || !view.max.is_numeric()) {
-    return static_cast<double>(view.present) / 2.0;
-  }
-  const double col_lo = view.min.as_real();
-  const double col_hi = view.max.as_real();
-  if (col_hi <= col_lo) return static_cast<double>(view.present);
   const double width = col_hi - col_lo;
+  const Bounds& b = path.range;
   const double f_lo =
-      lo ? std::clamp((lo->as_real() - col_lo) / width, 0.0, 1.0) : 0.0;
+      b.lo ? std::clamp((b.lo->as_real() - col_lo) / width, 0.0, 1.0) : 0.0;
   const double f_hi =
-      hi ? std::clamp((hi->as_real() - col_lo) / width, 0.0, 1.0) : 1.0;
-  return std::max(0.0, f_hi - f_lo) * static_cast<double>(view.present);
+      b.hi ? std::clamp((b.hi->as_real() - col_lo) / width, 0.0, 1.0) : 1.0;
+  return std::max(0.0, f_hi - f_lo) * rows;
 }
 
-// Builds a segment access path for an And-level conjunct, mirroring
-// make_access_path. Returns nullopt when the conjunct is not index-shaped
-// (it stays part of the residual program).
-std::optional<SegPath> make_seg_path(const Expr& conjunct,
-                                     const logm::Segment& seg) {
-  if (conjunct.kind == Expr::Kind::Pred) {
-    const logm::Segment::AttrView* view = seg.attr(conjunct.pred.lhs);
-    if (view == nullptr || !seg_indexable_probe(*view, conjunct.pred)) {
-      return std::nullopt;
-    }
-    SegPath path;
-    path.view = view;
-    if (conjunct.pred.op == CmpOp::Eq) {
-      path.probes.push_back(Probe{CmpOp::Eq, &conjunct.pred.rhs_const});
-      path.estimate = 1.0;  // refined at execution; Eq runs are narrow
-    } else {
-      tighten_bounds(path, conjunct.pred.op, &conjunct.pred.rhs_const);
-      path.estimate = seg_estimate_range(*view, path.lo, path.hi);
-    }
-    return path;
+// Sorted glsn run for a path: the range slice, or the union over probes.
+template <class Src>
+std::vector<logm::Glsn> execute_path(const Src& src,
+                                     const AccessPath<Src>& path) {
+  if (path.probes.empty()) return src.range(*path.index, path.range);
+  std::vector<logm::Glsn> out;
+  for (std::size_t i = 0; i < path.probes.size(); ++i) {
+    const Probe& probe = path.probes[i];
+    std::vector<logm::Glsn> run =
+        probe.op == CmpOp::Eq ? src.equal(*path.index, *probe.value)
+                              : src.range(*path.index, bounds_of(probe));
+    out = i == 0 ? std::move(run) : logm::union_sorted(out, run);
   }
-  if (conjunct.kind != Expr::Kind::Or || conjunct.children.empty()) {
-    return std::nullopt;
-  }
-  const Expr& first = conjunct.children.front();
-  if (first.kind != Expr::Kind::Pred) return std::nullopt;
-  const logm::Segment::AttrView* view = seg.attr(first.pred.lhs);
-  if (view == nullptr) return std::nullopt;
-  SegPath path;
-  path.view = view;
-  for (const Expr& child : conjunct.children) {
-    if (child.kind != Expr::Kind::Pred || child.pred.lhs != first.pred.lhs ||
-        !seg_indexable_probe(*view, child.pred)) {
-      return std::nullopt;
-    }
-    path.probes.push_back(Probe{child.pred.op, &child.pred.rhs_const});
-    path.estimate += 1.0;
-  }
-  return path;
+  return out;
 }
 
-// Zone-map test: can this path possibly match anything in the segment?
-bool seg_path_maybe_nonempty(const SegPath& path) {
-  const logm::ValueLess less;
-  const logm::Segment::AttrView& view = *path.view;
-  if (path.probes.empty()) {
-    if (path.lo != nullptr) {
-      if (less(view.max, *path.lo)) return false;
-      if (!path.lo_incl && !less(*path.lo, view.max) &&
-          !less(view.max, *path.lo)) {
-        // lo == max and the bound is strict: nothing above it.
-        return false;
-      }
+// An And-level predicate over an attribute no row of the source carries is
+// Missing on every row, so the source contributes nothing. Same for an
+// OR-fan whose *first* child references one (the Or stops at its first
+// Missing child).
+template <class Src>
+bool references_absent_column(const Src& src,
+                              const std::vector<Expr>& conjuncts) {
+  for (const Expr& conjunct : conjuncts) {
+    const Expr* pred = &conjunct;
+    if (conjunct.kind == Expr::Kind::Or && !conjunct.children.empty()) {
+      pred = &conjunct.children.front();
     }
-    if (path.hi != nullptr) {
-      if (less(*path.hi, view.min)) return false;
-      if (!path.hi_incl && !less(view.min, *path.hi) &&
-          !less(*path.hi, view.min)) {
-        return false;
-      }
+    if (pred->kind != Expr::Kind::Pred) continue;
+    if (src.index(pred->pred.lhs) == nullptr ||
+        (pred->pred.rhs_is_attr && src.index(pred->pred.rhs_attr) == nullptr)) {
+      return true;
     }
-    return true;
-  }
-  for (const Probe& probe : path.probes) {
-    if (probe.op == CmpOp::Eq) {
-      if (!less(*probe.value, view.min) && !less(view.max, *probe.value)) {
-        return true;
-      }
-      continue;
-    }
-    // Ordered probe inside an OR-fan: conservatively assume nonempty.
-    return true;
   }
   return false;
 }
 
-// Sorted candidate row positions for a path (union over probes or the
-// fused range slice), pulled from the order array by binary search.
-std::vector<std::uint32_t> execute_seg_path(const logm::Segment& seg,
-                                            const SegPath& path) {
-  const logm::Segment::AttrView& view = *path.view;
-  auto slice_rows = [&](std::uint32_t first, std::uint32_t last,
-                        std::vector<std::uint32_t>& out) {
-    for (std::uint32_t k = first; k < last; ++k) {
-      out.push_back(seg.row_at(view, seg.order_at(view, k)));
-    }
-  };
-  std::vector<std::uint32_t> rows;
-  if (path.probes.empty()) {
-    const std::uint32_t first =
-        path.lo == nullptr
-            ? 0
-            : (path.lo_incl ? seg_lower_bound(seg, view, *path.lo)
-                            : seg_upper_bound(seg, view, *path.lo));
-    const std::uint32_t last =
-        path.hi == nullptr
-            ? view.present
-            : (path.hi_incl ? seg_upper_bound(seg, view, *path.hi)
-                            : seg_lower_bound(seg, view, *path.hi));
-    if (first < last) slice_rows(first, last, rows);
-  } else {
-    for (const Probe& probe : path.probes) {
-      switch (probe.op) {
-        case CmpOp::Eq:
-          slice_rows(seg_lower_bound(seg, view, *probe.value),
-                     seg_upper_bound(seg, view, *probe.value), rows);
-          break;
-        case CmpOp::Lt:
-          slice_rows(0, seg_lower_bound(seg, view, *probe.value), rows);
-          break;
-        case CmpOp::Le:
-          slice_rows(0, seg_upper_bound(seg, view, *probe.value), rows);
-          break;
-        case CmpOp::Gt:
-          slice_rows(seg_upper_bound(seg, view, *probe.value), view.present,
-                     rows);
-          break;
-        case CmpOp::Ge:
-          slice_rows(seg_lower_bound(seg, view, *probe.value), view.present,
-                     rows);
-          break;
-        default:
-          break;
-      }
-    }
+// Evaluates the conjunction of `conjuncts` (a normalized subquery) against
+// one source and returns the matching glsns ascending: absent-column
+// pruning, then access paths and their zone-map test, fusion, intersection
+// in order of estimated selectivity, and the residual program over the
+// rows that survive.
+template <class Src>
+std::vector<logm::Glsn> run_plan(const Src& src,
+                                 const std::vector<Expr>& conjuncts) {
+  if (references_absent_column(src, conjuncts)) {
+    src.count_pruned(conjuncts.size());
+    return {};
   }
-  std::sort(rows.begin(), rows.end());
-  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-  return rows;
-}
 
-// Evaluates the normalized expression against one segment, returning
-// matching glsns ascending (before visibility shadowing).
-std::vector<logm::Glsn> eval_segment(const Expr& normalized,
-                                     const std::vector<Expr>& conjuncts,
-                                     const logm::Segment& seg) {
-  logm::StorageStats& st = logm::storage_stats_mut();
-
-  // Absent-attribute pruning: an And-level predicate over an attribute the
-  // segment does not carry is Missing on every row, so the whole segment
-  // contributes nothing. Same for an OR-fan whose *first* child references
-  // an absent attribute (the naive Or aborts at the first Missing child).
+  std::vector<AccessPath<Src>> paths;
+  std::vector<const Expr*> residual;
   for (const Expr& conjunct : conjuncts) {
-    const Expr* pred = nullptr;
-    if (conjunct.kind == Expr::Kind::Pred) {
-      pred = &conjunct;
-    } else if (conjunct.kind == Expr::Kind::Or && !conjunct.children.empty() &&
-               conjunct.children.front().kind == Expr::Kind::Pred) {
-      pred = &conjunct.children.front();
-    }
-    if (pred == nullptr) continue;
-    if (seg.attr(pred->pred.lhs) == nullptr ||
-        (pred->pred.rhs_is_attr &&
-         seg.attr(pred->pred.rhs_attr) == nullptr)) {
-      ++st.zone_map_skips;
+    std::optional<AccessPath<Src>> path = make_access_path(src, conjunct);
+    if (!path) {
+      residual.push_back(&conjunct);
+    } else if (Src::kZoneMaps && !zone_may_match(src, *path)) {
+      src.count_pruned(conjuncts.size());
       return {};
-    }
-  }
-
-  // Access paths + zone maps.
-  std::vector<SegPath> paths;
-  for (const Expr& conjunct : conjuncts) {
-    if (std::optional<SegPath> path = make_seg_path(conjunct, seg)) {
-      if (!seg_path_maybe_nonempty(*path)) {
-        ++st.zone_map_skips;
-        return {};
-      }
+    } else {
       paths.push_back(std::move(*path));
     }
   }
-  // Fuse same-attribute range paths into one bounded slice.
-  std::vector<SegPath> fused;
-  for (SegPath& path : paths) {
-    SegPath* host = nullptr;
-    if (path.probes.empty()) {
-      for (SegPath& f : fused) {
-        if (f.probes.empty() && f.view == path.view) {
-          host = &f;
-          break;
-        }
-      }
+
+  if (paths.empty()) {
+    // No index applies: tight full scan with the compiled program.
+    src.count_full_scan();
+    src.count_rows(src.rows());
+    const Program<Src> prog(src, residual);
+    std::vector<logm::Glsn> out;
+    for (std::size_t r = 0; r < src.rows(); ++r) {
+      if (prog.matches(r)) out.push_back(src.glsn_at(r));
     }
-    if (host == nullptr) {
-      fused.push_back(std::move(path));
-      continue;
-    }
-    if (path.lo != nullptr) {
-      tighten_bounds(*host, path.lo_incl ? CmpOp::Ge : CmpOp::Gt, path.lo);
-    }
-    if (path.hi != nullptr) {
-      tighten_bounds(*host, path.hi_incl ? CmpOp::Le : CmpOp::Lt, path.hi);
-    }
-    host->estimate = seg_estimate_range(*host->view, host->lo, host->hi);
-    if (!seg_path_maybe_nonempty(*host)) {
-      ++st.zone_map_skips;
-      return {};
-    }
+    return out;
   }
 
-  // Candidate rows: the most selective path's run, or every row when no
-  // conjunct is index-shaped. The full program re-checks every conjunct, so
-  // probing with one path keeps results exact.
-  std::vector<std::uint32_t> candidates;
-  if (!fused.empty()) {
-    std::stable_sort(fused.begin(), fused.end(),
-                     [](const SegPath& a, const SegPath& b) {
+  fuse_range_paths(paths);
+  if (paths.size() > 1) {
+    // Most selective first; ties keep conjunct order.
+    for (AccessPath<Src>& path : paths) path.estimate = estimate_rows(src, path);
+    std::stable_sort(paths.begin(), paths.end(),
+                     [](const AccessPath<Src>& a, const AccessPath<Src>& b) {
                        return a.estimate < b.estimate;
                      });
-    candidates = execute_seg_path(seg, fused.front());
-    ++st.segment_probe_hits;
-    if (candidates.empty()) return {};
-  } else {
-    candidates.resize(seg.rows());
-    for (std::uint32_t r = 0; r < candidates.size(); ++r) candidates[r] = r;
   }
 
-  const SegProgram prog = compile_segment(normalized, seg);
-  st.segment_rows_decoded += candidates.size();
-  std::vector<logm::Glsn> out;
-  for (std::uint32_t row : candidates) {
-    if (prog.eval(prog.root, row) == Tri::True) {
-      out.push_back(seg.glsn_at(row));
+  std::vector<logm::Glsn> current;
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    if (i > 0 &&
+        static_cast<double>(current.size()) * 4.0 < paths[i].estimate) {
+      // The running intersection is already far smaller than this path's
+      // run would be: probing the survivors row-by-row beats materializing
+      // and intersecting the big run. Demote the path to a residual.
+      residual.insert(residual.end(), paths[i].sources.begin(),
+                      paths[i].sources.end());
+      continue;
+    }
+    std::vector<logm::Glsn> run = execute_path(src, paths[i]);
+    src.count_probe();
+    current = i == 0 ? std::move(run) : logm::intersect_sorted(current, run);
+    if (current.empty()) {
+      std::size_t skipped = residual.size();
+      for (std::size_t j = i + 1; j < paths.size(); ++j) {
+        skipped += paths[j].sources.size();
+      }
+      src.count_short_circuit(skipped);
+      return current;
     }
   }
-  return out;  // candidate rows ascending => glsns ascending
+  if (residual.empty()) return current;
+
+  // Compile the residual conjuncts once and probe only the rows that
+  // survived the index intersection.
+  const Program<Src> prog(src, residual);
+  src.count_rows(current.size());
+  std::vector<logm::Glsn> out;
+  out.reserve(current.size());
+  for (logm::Glsn glsn : current) {
+    const std::optional<std::size_t> row = src.row_of(glsn);
+    if (row && prog.matches(*row)) out.push_back(glsn);
+  }
+  return out;
 }
 
 }  // namespace
@@ -747,88 +634,11 @@ std::vector<logm::Glsn> eval_local_scan(const Expr& expr,
 
 std::vector<logm::Glsn> eval_local_indexed(const Expr& expr,
                                            const logm::FragmentStore& store) {
-  QueryEngineCounters& ctr = detail::query_engine_counters_mut();
   if (!store.indexing()) {
-    ++ctr.planner_fallbacks;
+    ++detail::query_engine_counters_mut().planner_fallbacks;
     return eval_local_scan(expr, store);
   }
-
-  const Expr normalized = push_negations(expr);
-  const std::vector<Expr> conjuncts = to_conjunctive(normalized);
-
-  std::vector<AccessPath> paths;
-  std::vector<const Expr*> residual;
-  for (const Expr& conjunct : conjuncts) {
-    if (std::optional<AccessPath> path = make_access_path(conjunct, store)) {
-      paths.push_back(std::move(*path));
-    } else {
-      residual.push_back(&conjunct);
-    }
-  }
-
-  if (paths.empty()) {
-    // No index applies: tight full scan over the columnar mirror.
-    ++ctr.planner_fallbacks;
-    const Program prog = compile(normalized, store);
-    const std::vector<logm::Glsn>& rows = store.row_glsns();
-    ctr.rows_scanned += rows.size();
-    std::vector<logm::Glsn> out;
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      if (prog.eval(prog.root, r) == Tri::True) out.push_back(rows[r]);
-    }
-    return out;
-  }
-
-  fuse_range_paths(paths);
-
-  // Most selective first; ties keep conjunct order.
-  std::stable_sort(paths.begin(), paths.end(),
-                   [](const AccessPath& a, const AccessPath& b) {
-                     return a.estimate < b.estimate;
-                   });
-
-  std::vector<logm::Glsn> current;
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    if (i > 0 && static_cast<double>(current.size()) * 4.0 <
-                     paths[i].estimate) {
-      // The running intersection is already far smaller than this path's
-      // run would be: probing the survivors row-by-row beats materializing
-      // and intersecting the big run. Demote the path to a residual.
-      residual.insert(residual.end(), paths[i].sources.begin(),
-                      paths[i].sources.end());
-      continue;
-    }
-    std::vector<logm::Glsn> run = execute_path(paths[i]);
-    ++ctr.index_hits;
-    current = i == 0 ? std::move(run) : logm::intersect_sorted(current, run);
-    if (current.empty()) {
-      std::size_t skipped = residual.size();
-      for (std::size_t j = i + 1; j < paths.size(); ++j) {
-        skipped += paths[j].sources.size();
-      }
-      ctr.conjuncts_short_circuited += skipped;
-      return current;
-    }
-  }
-  if (residual.empty()) return current;
-
-  // Compile the residual conjuncts once (original conjunct order) and probe
-  // only the rows that survived the index intersection.
-  std::vector<Expr> residual_children;
-  residual_children.reserve(residual.size());
-  for (const Expr* conjunct : residual) residual_children.push_back(*conjunct);
-  const Expr residual_and = residual.size() == 1
-                                ? residual_children.front()
-                                : Expr::make_and(std::move(residual_children));
-  const Program prog = compile(residual_and, store);
-  ctr.rows_scanned += current.size();
-  std::vector<logm::Glsn> out;
-  out.reserve(current.size());
-  for (logm::Glsn glsn : current) {
-    const std::optional<std::size_t> row = store.row_of(glsn);
-    if (row && prog.eval(prog.root, *row) == Tri::True) out.push_back(glsn);
-  }
-  return out;
+  return run_plan(MemtableSource(store), to_conjunctive(push_negations(expr)));
 }
 
 std::vector<logm::Glsn> eval_engine_scan(const Expr& expr,
@@ -859,16 +669,12 @@ std::vector<logm::Glsn> eval_engine_indexed(const Expr& expr,
   const logm::FragmentStore& mem = seg_eng->memtable();
   const std::vector<logm::Glsn>& pending = seg_eng->pending_tombstones();
 
+  // Sources newest first: the memtable, then the segments newest to oldest.
   std::vector<logm::Glsn> out = eval_local_indexed(expr, mem);
-
-  const Expr normalized = push_negations(expr);
-  const std::vector<Expr> conjuncts = to_conjunctive(normalized);
+  const std::vector<Expr> conjuncts = to_conjunctive(push_negations(expr));
   const auto& segs = txn.segments();  // oldest -> newest
-
   for (std::size_t i = segs.size(); i-- > 0;) {
-    const logm::Segment& seg = *segs[i];
-    std::vector<logm::Glsn> hits = eval_segment(normalized, conjuncts, seg);
-    for (logm::Glsn g : hits) {
+    for (logm::Glsn g : run_plan(SegmentSource(*segs[i]), conjuncts)) {
       // Shadow subtraction: a newer source owning this glsn — memtable row,
       // pending tombstone, or any newer segment's row/tombstone — makes the
       // older segment's version invisible.

@@ -4,28 +4,32 @@
 // after Figure 3's classification) with a full fragment scan, calling the
 // interpreted `evaluate()` through a std::function with per-fragment
 // std::map attribute lookups. This module lowers the subquery Expr into a
-// plan over the FragmentStore's columnar mirror instead:
+// plan over a column source instead — a FragmentStore's columnar mirror, or
+// an immutable segment of the durable engine — with one planner for both:
 //
 //   1. Normalize (push_negations) and flatten the top-level conjunction.
-//   2. Conjuncts whose predicates are constant equality/range comparisons on
+//   2. A conjunct over an attribute the source does not carry ends the plan
+//      empty before any probe.
+//   3. Conjuncts whose predicates are constant equality/range comparisons on
 //      an indexed attribute (including OR-fans over a single attribute, the
 //      shape IN-lists desugar to) become index access paths: sorted glsn
-//      runs pulled straight from the value->postings index.
-//   3. The planner orders access paths by estimated selectivity (exact
-//      postings sizes for equality, min/max interpolation over the column
-//      stats for ranges), intersects the runs with the shared sorted-set
-//      algebra, and short-circuits the moment the running intersection
-//      empties.
-//   4. Everything else is a residual conjunct, compiled once into a flat
-//      node program with pre-resolved column-cell pointers and evaluated
-//      per surviving row — no std::function, no per-row map lookups.
+//      runs from the value->postings index or the segment's value-order
+//      array. Segments test each path against their zone maps first, and
+//      same-attribute ranges fuse into one slice.
+//   4. The planner orders access paths by estimated selectivity (exact run
+//      sizes for equality, min/max interpolation over the column stats for
+//      ranges), intersects the runs with the shared sorted-set algebra, and
+//      short-circuits the moment the running intersection empties.
+//   5. Everything else is a residual conjunct, compiled once into a flat
+//      node program with pre-resolved column handles and evaluated per
+//      surviving row — no std::function, no per-row map lookups.
 //
 // Equivalence contract: the result is bit-identical to the naive scan
 // (`select` + `evaluate` with missing-attribute => non-match) on every
 // workload, including fragments that carry only a subset of the referenced
 // attributes. See docs/QUERY_ENGINE.md for the tri-state semantics that
-// makes OR-over-missing-attributes safe. Counters land in
-// audit::metrics::query_engine_counters().
+// makes OR-over-missing-attributes safe, and for which counters each source
+// increments.
 #pragma once
 
 #include <vector>
@@ -50,13 +54,11 @@ std::vector<logm::Glsn> eval_local_scan(const Expr& expr,
 
 // Engine-aware evaluation across {memtable + segments} (see docs/STORAGE.md).
 // On a MemoryEngine this is exactly eval_local_indexed on the backing store.
-// On a SegmentEngine it opens a snapshot read transaction, answers the
-// memtable through the existing planner, then evaluates each segment newest
-// to oldest — zone-map pruning, value-order binary-search probes under the
-// same indexability rules as indexable_probe, and a lazily-decoding compiled
-// residual program — subtracting every glsn shadowed by a newer source
-// (memtable row, pending tombstone, or newer segment row/tombstone). No row
-// is materialized to answer a predicate. Bit-identical to eval_engine_scan.
+// On a SegmentEngine it opens a snapshot read transaction and runs the same
+// planner on the memtable and then on each segment newest to oldest,
+// subtracting every segment glsn shadowed by a newer source (memtable row,
+// pending tombstone, or newer segment row/tombstone). No row is
+// materialized to answer a predicate. Bit-identical to eval_engine_scan.
 std::vector<logm::Glsn> eval_engine_indexed(const Expr& expr,
                                             const logm::StorageEngine& engine);
 

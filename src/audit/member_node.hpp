@@ -15,7 +15,6 @@
 // that detect_double_invite() exposes.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
@@ -48,8 +47,8 @@ class CaNode : public net::Node {
   // At-least-once journal: blind-signing is deterministic, but a duplicated
   // kTokenRequest must not inflate tokens_issued_ (the CA's issuance audit
   // trail) — the remembered signature is replayed instead.
-  std::map<std::pair<net::NodeId, std::uint64_t>, bn::BigUInt> token_journal_;
-  std::deque<std::pair<net::NodeId, std::uint64_t>> token_order_;
+  BoundedJournal<std::pair<net::NodeId, std::uint64_t>, bn::BigUInt>
+      token_journal_;
 };
 
 class MemberNode : public net::Node {

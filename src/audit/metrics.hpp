@@ -67,10 +67,11 @@ CryptoOpCounters crypto_op_counters();
 void reset_crypto_op_counters();
 
 // ---- query-engine counters -----------------------------------------------
-// Process-wide counters for the compiled local query engine (see
-// docs/QUERY_ENGINE.md): how often an index access path answered a conjunct,
-// how many rows the residual/fallback scans touched, how many conjuncts were
-// skipped because the running glsn intersection emptied, and how often the
+// Process-wide counters for the compiled local query engine over memtable
+// sources (see docs/QUERY_ENGINE.md; segments count into StorageCounters):
+// how often an index access path ran, how many rows the residual/fallback
+// scans touched, how many conjuncts were skipped because the running glsn
+// intersection emptied or an absent column ended the plan, and how often the
 // planner fell back to a full scan (no usable index, or indexing disabled on
 // the store).
 struct QueryEngineCounters {

@@ -1,5 +1,6 @@
 #include "logm/record.hpp"
 
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -24,6 +25,19 @@ const AttributeDef& Schema::at(const std::string& name) const {
   auto idx = index_of(name);
   if (!idx) throw std::out_of_range("Schema: unknown attribute " + name);
   return attrs_[*idx];
+}
+
+bool Schema::admits(const std::map<std::string, Value>& attrs) const {
+  for (const auto& [name, value] : attrs) {
+    const std::optional<std::size_t> idx = index_of(name);
+    if (!idx) return false;
+    const bool text = value.type() == ValueType::Text;
+    if (text != (attrs_[*idx].type == ValueType::Text)) return false;
+    if (value.type() == ValueType::Real && std::isnan(value.as_real())) {
+      return false;
+    }
+  }
+  return true;
 }
 
 std::size_t Schema::undefined_count() const {

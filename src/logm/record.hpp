@@ -48,6 +48,12 @@ class Schema {
     return index_of(name).has_value();
   }
   const AttributeDef& at(const std::string& name) const;
+  // True when every attribute is in the schema and holds a value of its
+  // column's kind: text in a Text column, an Int or a non-NaN Real in a
+  // numeric one. Stores refuse anything else, because an ordered predicate
+  // throws on text-vs-numeric and a NaN is ValueLess-equivalent to every
+  // number, which would file its row under another value's postings run.
+  bool admits(const std::map<std::string, Value>& attrs) const;
   // Number of undefined (C*) attributes — the v of Eq. (10).
   std::size_t undefined_count() const;
 

@@ -14,8 +14,8 @@ namespace dla::logm {
 struct StorageStats {
   std::uint64_t segments_sealed = 0;      // memtable -> segment seals
   std::uint64_t segment_compactions = 0;  // tiered merge operations
-  std::uint64_t segment_probe_hits = 0;   // per-segment index probes used
-  std::uint64_t zone_map_skips = 0;       // segments pruned by zone maps
+  std::uint64_t segment_probe_hits = 0;   // access paths run on segments
+  std::uint64_t zone_map_skips = 0;       // segments pruned before a probe
   std::uint64_t segment_rows_decoded = 0;  // rows evaluated lazily from mmap
   std::uint64_t pinned_readers = 0;        // gauge: open read transactions
   std::uint64_t stalled_readers = 0;       // readers reported past deadline

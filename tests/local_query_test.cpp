@@ -28,31 +28,6 @@ using logm::FragmentStore;
 using logm::Glsn;
 using logm::LogRecord;
 
-// Criteria covering every planner shape: indexable equality/range
-// conjunctions, IN-fans, non-indexable residuals (!=, attr-vs-attr, NOT,
-// mixed-attribute OR) and empty-result short circuits.
-const std::vector<std::string>& criteria() {
-  static const std::vector<std::string> kCriteria{
-      "id = 'U3'",
-      "protocl = 'UDP'",
-      "C2 > 500.0",
-      "C2 >= 100.0 AND C2 <= 900.0",
-      "Time > 1021234000 AND id = 'U1'",
-      "id = 'U3' AND C2 > 500.0 AND protocl = 'TCP'",
-      "id IN ('U1', 'U3', 'U5')",
-      "C1 BETWEEN 2 AND 7",
-      "id != 'U2'",
-      "C1 < C2",
-      "C1 < C2 AND Tid = 'T3'",
-      "NOT (id = 'U1' OR C2 > 800.0)",
-      "id = 'U1' OR protocl = 'TCP'",
-      "id = 'NO_SUCH_USER' AND C2 > 0.0",
-      "id = 'U1' AND id = 'U2'",
-      "(id = 'U1' AND C2 > 200.0) OR Tid = 'T5'",
-  };
-  return kCriteria;
-}
-
 // Record/store builders are shared with the bench and traffic drivers
 // (tests/workload_gen.hpp) so every consumer sees identical seeded streams.
 std::vector<LogRecord> make_records(std::uint64_t seed, std::size_t count) {
@@ -81,7 +56,7 @@ FragmentStore sparse_store(const std::vector<LogRecord>& records,
 
 void expect_equivalent(const FragmentStore& store, const std::string& where) {
   const logm::Schema schema = logm::paper_schema();
-  for (const std::string& text : criteria()) {
+  for (const std::string& text : testkit::planner_criteria()) {
     const Expr expr = parse(text, schema);
     EXPECT_EQ(eval_local_indexed(expr, store), eval_local_scan(expr, store))
         << where << " diverged on: " << text;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -339,6 +340,54 @@ TEST_F(E2eFixture, WriteRefusedWithoutWriteTicket) {
   cluster.run();
   ASSERT_TRUE(result.has_value());
   EXPECT_FALSE(result->has_value());
+}
+
+// A Write-ticket holder can put any value into a fragment; the owner must
+// refuse values that break the schema's column kinds. Text in the numeric
+// C2 column would make the next ordered C2 query throw out of the node, and
+// a NaN would land in another value's postings run and answer equality
+// probes for it.
+struct SchemaViolationE2e : E2eFixture {
+  // Logs Table 1's first row with C2 replaced; the outer optional is set
+  // once the write settles, the inner one holds the glsn when acked.
+  std::optional<std::optional<logm::Glsn>> log_with_c2(logm::Value c2) {
+    auto attrs = logm::paper_table1_records()[0].attrs;
+    attrs["C2"] = std::move(c2);
+    std::optional<std::optional<logm::Glsn>> result;
+    cluster.user(0).log_record(
+        cluster.sim(), attrs,
+        [&](std::optional<logm::Glsn> glsn) { result = glsn; });
+    cluster.run();
+    return result;
+  }
+
+  // C2 range and equality queries still answer Table 1's rows exactly.
+  void expect_c2_queries_exact() {
+    auto range = run_query("C2 > 100.0");
+    ASSERT_TRUE(range.ok) << range.error;
+    EXPECT_EQ(range.glsns, (std::vector<logm::Glsn>{row(1), row(2), row(4)}));
+    const char* values[] = {"23.45", "345.11", "235.0", "45.02", "678.75"};
+    for (std::size_t i = 0; i < 5; ++i) {
+      auto eq = run_query(std::string("C2 = ") + values[i]);
+      ASSERT_TRUE(eq.ok) << eq.error;
+      EXPECT_EQ(eq.glsns, (std::vector<logm::Glsn>{row(i)})) << values[i];
+    }
+  }
+};
+
+TEST_F(SchemaViolationE2e, TextInNumericColumnIsRefused) {
+  const auto result = log_with_c2(logm::Value("not-a-number"));
+  ASSERT_TRUE(result.has_value());
+  EXPECT_FALSE(result->has_value());
+  expect_c2_queries_exact();
+}
+
+TEST_F(SchemaViolationE2e, NanRealIsRefused) {
+  const auto result =
+      log_with_c2(logm::Value(std::numeric_limits<double>::quiet_NaN()));
+  ASSERT_TRUE(result.has_value());
+  EXPECT_FALSE(result->has_value());
+  expect_c2_queries_exact();
 }
 
 TEST_F(E2eFixture, QueryRefusedWithoutReadTicket) {

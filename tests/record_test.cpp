@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "logm/workload.hpp"
 
 namespace dla::logm {
@@ -29,6 +31,20 @@ TEST(Schema, RejectsDuplicateAttributes) {
   EXPECT_THROW(Schema({{"a", ValueType::Int, false},
                        {"a", ValueType::Text, false}}),
                std::invalid_argument);
+}
+
+// The storage boundary's type check: Int and Real share numeric columns;
+// unknown attributes, text/numeric mismatches and NaN reals are refused.
+TEST(Schema, AdmitsOnlyValuesOfTheColumnKind) {
+  const Schema s = paper_schema();
+  EXPECT_TRUE(s.admits({}));
+  EXPECT_TRUE(s.admits({{"id", Value("U1")},
+                        {"C1", Value(2.0)},
+                        {"C2", Value(std::int64_t{3})}}));
+  EXPECT_FALSE(s.admits({{"nope", Value(std::int64_t{1})}}));
+  EXPECT_FALSE(s.admits({{"C2", Value("not-a-number")}}));
+  EXPECT_FALSE(s.admits({{"id", Value(std::int64_t{7})}}));
+  EXPECT_FALSE(s.admits({{"C2", Value(std::nan(""))}}));
 }
 
 TEST(LogRecord, CanonicalIsInsertionOrderIndependent) {

@@ -261,37 +261,12 @@ TEST_F(EngineFixture, CloneSharesSealedSegmentsWithoutRescan) {
 
 // ---- differential: backends and query paths --------------------------------
 
-// Criteria covering every planner shape the segment path must mirror:
-// indexable equality/range conjunctions, IN-fans, non-indexable residuals
-// (!=, attr-vs-attr, NOT, mixed-attribute OR) and empty short-circuits.
-const std::vector<std::string>& criteria() {
-  static const std::vector<std::string> kCriteria{
-      "id = 'U3'",
-      "protocl = 'UDP'",
-      "C2 > 500.0",
-      "C2 >= 100.0 AND C2 <= 900.0",
-      "Time > 1021234000 AND id = 'U1'",
-      "id = 'U3' AND C2 > 500.0 AND protocl = 'TCP'",
-      "id IN ('U1', 'U3', 'U5')",
-      "C1 BETWEEN 2 AND 7",
-      "id != 'U2'",
-      "C1 < C2",
-      "C1 < C2 AND Tid = 'T3'",
-      "NOT (id = 'U1' OR C2 > 800.0)",
-      "id = 'U1' OR protocl = 'TCP'",
-      "id = 'NO_SUCH_USER' AND C2 > 0.0",
-      "id = 'U1' AND id = 'U2'",
-      "(id = 'U1' AND C2 > 200.0) OR Tid = 'T5'",
-  };
-  return kCriteria;
-}
-
 // Asserts the four-way equivalence on the current engine states.
 void expect_query_equivalence(const StorageEngine& memory,
                               const StorageEngine& segment,
                               const std::string& label) {
   const logm::Schema schema = logm::paper_schema();
-  for (const std::string& text : criteria()) {
+  for (const std::string& text : testkit::planner_criteria()) {
     const audit::Expr expr = audit::parse(text, schema);
     const auto mem_scan = audit::eval_engine_scan(expr, memory);
     const auto mem_idx = audit::eval_engine_indexed(expr, memory);

@@ -21,9 +21,12 @@ namespace {
 
 // Tests in this binary run sequentially; derive a port block from the pid
 // so parallel ctest invocations of other binaries cannot collide, and give
-// each test its own sub-block.
+// each test its own sub-block. Every block lies in [20000, 29600): Linux
+// hands out outbound connections' local ports from 32768-60999 by default,
+// so a listen port there can already be taken by a parallel test's client
+// socket; transport_e2e.sh uses [29600, 32640).
 std::uint16_t test_base_port(std::uint16_t block) {
-  return static_cast<std::uint16_t>(20000 + (::getpid() % 500) * 64 +
+  return static_cast<std::uint16_t>(20000 + (::getpid() % 150) * 64 +
                                     block * 8);
 }
 

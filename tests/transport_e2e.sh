@@ -11,9 +11,11 @@ set -u
 
 NODED="${1:?usage: transport_e2e.sh /path/to/dla_noded}"
 DLA_COUNT=4
-# Derive the port block from our pid so parallel ctest runs cannot collide;
-# stay clear of the ephemeral range's lower end.
-BASE_PORT=$((21000 + ($$ % 2000) * 16))
+# Derive the port block from our pid so parallel ctest runs cannot collide.
+# Blocks lie in [29600, 32640): below Linux's default ephemeral range
+# (32768-60999), where a parallel test's outbound connection may already
+# hold the port, and above tcp_transport_test's [20000, 29600).
+BASE_PORT=$((29600 + ($$ % 190) * 16))
 RUN_MS=120000
 
 pids=()

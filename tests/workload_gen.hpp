@@ -78,6 +78,40 @@ inline const std::vector<std::string>& cluster_criteria() {
   return kCriteria;
 }
 
+// Local-planner differential suite (test_local_query, test_storage_engine):
+// every plan shape over the generated stream, answered by the memtable and
+// the segment column sources alike — indexable equality/range conjunctions,
+// fused and crossed ranges, IN-fans and ordered OR-fans, non-indexable
+// residuals (!=, attr-vs-attr, NOT, mixed-attribute OR), equalities at the
+// edge of or outside the zone maps, and empty-result short circuits.
+inline const std::vector<std::string>& planner_criteria() {
+  static const std::vector<std::string> kCriteria{
+      "id = 'U3'",
+      "protocl = 'UDP'",
+      "C2 > 500.0",
+      "C2 >= 100.0 AND C2 <= 900.0",
+      "Time > 1021234000 AND id = 'U1'",
+      "id = 'U3' AND C2 > 500.0 AND protocl = 'TCP'",
+      "id IN ('U1', 'U3', 'U5')",
+      "C1 BETWEEN 2 AND 7",
+      "id != 'U2'",
+      "C1 < C2",
+      "C1 < C2 AND Tid = 'T3'",
+      "NOT (id = 'U1' OR C2 > 800.0)",
+      "id = 'U1' OR protocl = 'TCP'",
+      "id = 'NO_SUCH_USER' AND C2 > 0.0",
+      "id = 'U1' AND id = 'U2'",
+      "(id = 'U1' AND C2 > 200.0) OR Tid = 'T5'",
+      "C2 < 50.0 OR C2 > 950.0",
+      "C2 > 900.0 AND C2 < 100.0",
+      // C1 is drawn from [0, 100): 99 falls inside only the few zone maps
+      // that hold it, 100 outside every one.
+      "C1 = 99",
+      "C1 = 100",
+  };
+  return kCriteria;
+}
+
 // Local-engine scaling suite (bench_query_processing): one criterion per
 // access-path shape. The Time range is derived from the workload's own
 // quantiles so its selectivity tracks the record count.
