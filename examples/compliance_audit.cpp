@@ -12,9 +12,12 @@
 // The auditor finds the violating transactions, pulls confidential
 // aggregates for the quarterly report, and the DLA node's storage survives
 // a simulated crash via its sealed segments and write-ahead log.
+#include <unistd.h>
+
 #include <filesystem>
 #include <iostream>
 #include <optional>
+#include <string>
 
 #include "audit/cluster.hpp"
 #include "audit/transaction_audit.hpp"
@@ -99,7 +102,10 @@ int main() {
 
   // --- durable storage: P1's segment engine survives a crash -------------
   namespace fs = std::filesystem;
-  auto dir = fs::temp_directory_path() / "dla_compliance_example";
+  // Per-process name: concurrent runs (two build trees under ctest) must
+  // not share one store.
+  auto dir = fs::temp_directory_path() /
+             ("dla_compliance_example_" + std::to_string(::getpid()));
   fs::remove_all(dir);
   logm::SegmentEngine::Options opts;
   opts.memtable_max_records = 32;  // seal often: segments plus a WAL tail

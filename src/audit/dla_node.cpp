@@ -138,10 +138,8 @@ void DlaNode::dispatch(net::Transport& sim, const net::Message& msg) {
     case kSubqueryExec: return handle_subquery_exec(sim, msg);
     case kJoinExec: return handle_join_exec(sim, msg);
     case kCombineExec: return handle_combine_exec(sim, msg);
-    case kCombineReady: return handle_combine_ready(sim, msg);
     case kSubqueryDone: return handle_subquery_done(sim, msg);
     case kCmpBatchResult: return handle_cmp_batch_result(sim, msg);
-    case kSubqueryFetch: return handle_subquery_fetch(sim, msg);
     case kSubqueryData: return handle_subquery_data(sim, msg);
     // Deliberately ignored: application-side replies (a cluster node is
     // never the addressee of its own acks/results) and the evidence-chain
@@ -584,14 +582,6 @@ void DlaNode::handle_set_start(net::Transport& sim, const net::Message& msg) {
   net::Reader r(msg.payload);
   SetSpec spec = SetSpec::decode(r);
   r.expect_end();
-  // At-least-once delivery: a duplicate kSetStart would contribute this
-  // node's set twice (doubling ring traffic), and one arriving after the
-  // session's decrypt pass would resurrect an already-spent session key.
-  if (set_started_guard_.check_and_mark(spec.session) ||
-      set_spent_guard_.contains(spec.session)) {
-    ++replay_drops_;
-    return;
-  }
   // Source this node's input per the session purpose.
   std::vector<bn::BigUInt> elements;
   if (spec.purpose == SetPurpose::AclEntries) {
@@ -607,12 +597,25 @@ void DlaNode::handle_set_start(net::Transport& sim, const net::Message& msg) {
     // Missing staged input contributes the empty set (drains intersections,
     // neutral for unions) rather than stalling the ring.
   }
+  join_ring(sim, spec, std::move(elements));
+}
+
+void DlaNode::join_ring(net::Transport& sim, const SetSpec& spec,
+                        std::vector<bn::BigUInt> elements) {
+  // At-least-once delivery: a duplicate start would contribute this node's
+  // set twice (doubling ring traffic), and one arriving after the session's
+  // decrypt pass would resurrect an already-spent session key.
+  if (set_started_guard_.check_and_mark(spec.session) ||
+      set_spent_guard_.contains(spec.session)) {
+    ++replay_drops_;
+    return;
+  }
   std::size_t my_pos = spec.participants.size();
   for (std::size_t i = 0; i < spec.participants.size(); ++i) {
     if (spec.participants[i] == id()) my_pos = i;
   }
   if (my_pos == spec.participants.size()) {
-    // A kSetStart naming this node as ring member without listing it in
+    // A start naming this node as ring member without listing it in
     // participants is malformed: drop it rather than joining at a fabricated
     // position 0 (which would double-encrypt someone else's slot).
     ++set_ring_rejects_;
@@ -1481,6 +1484,43 @@ void DlaNode::reply_user(net::Transport& sim, net::NodeId user,
   sim.send(id(), user, type, std::move(payload));
 }
 
+void DlaNode::reply_audit(
+    net::Transport& sim, net::NodeId user, std::uint64_t user_reqid,
+    const std::string& error, const std::vector<logm::Glsn>& glsns,
+    const std::optional<crypto::ThresholdSignature>& cert) {
+  net::Writer w;
+  w.u64(user_reqid);
+  w.boolean(error.empty());
+  w.str(error);
+  w.vec(glsns, [](net::Writer& out, logm::Glsn g) { out.u64(g); });
+  w.boolean(cert.has_value());
+  if (cert.has_value()) {
+    w.big(cert->r);
+    w.big(cert->s);
+  }
+  reply_user(sim, user, user_reqid, kAuditResult, std::move(w));
+}
+
+void DlaNode::reply_aggregate(net::Transport& sim, net::NodeId user,
+                              std::uint64_t user_reqid,
+                              const std::string& error, double value,
+                              std::uint64_t count) {
+  net::Writer w;
+  w.u64(user_reqid);
+  w.boolean(error.empty());
+  w.str(error);
+  w.f64(value);
+  w.u64(count);
+  reply_user(sim, user, user_reqid, kAggregateResult, std::move(w));
+}
+
+void DlaNode::close_query(net::Transport& sim, const QueryState& qs) {
+  const std::uint64_t qid = qs.qid;
+  sim.cancel_timer(qs.timeout_timer);
+  timer_to_qid_.erase(qs.timeout_timer);
+  queries_.erase(qid);
+}
+
 // Shared at-least-once front door for the two query entrypoints: replays
 // the journaled reply for an already-served (user, reqid), drops duplicates
 // of a request still in flight, and claims the slot otherwise. Returns true
@@ -1513,19 +1553,8 @@ void DlaNode::handle_audit_query(net::Transport& sim,
   r.expect_end();
   if (query_is_duplicate(sim, msg.src, user_reqid)) return;
 
-  auto reply_error = [&](const std::string& error) {
-    net::Writer w;
-    w.u64(user_reqid);
-    w.boolean(false);
-    w.str(error);
-    w.vec(std::vector<logm::Glsn>{},
-          [](net::Writer& out, logm::Glsn g) { out.u64(g); });
-    w.boolean(false);  // no certificate
-    reply_user(sim, msg.src, user_reqid, kAuditResult, std::move(w));
-  };
-
   if (!tickets_->authorizes(ticket, logm::Op::Read, sim.now())) {
-    reply_error("ticket rejected");
+    reply_audit(sim, msg.src, user_reqid, "ticket rejected");
     return;
   }
   QueryState qs;
@@ -1535,7 +1564,8 @@ void DlaNode::handle_audit_query(net::Transport& sim,
   try {
     start_query(sim, std::move(qs), criterion);
   } catch (const ParseError& e) {
-    reply_error(std::string("parse error: ") + e.what());
+    reply_audit(sim, msg.src, user_reqid,
+                std::string("parse error: ") + e.what());
   }
 }
 
@@ -1575,19 +1605,21 @@ void DlaNode::start_query(net::Transport& sim, QueryState qs,
   for (const auto& sq : conjuncts) {
     roots.push_back(plan_expr(sq, qs.tasks, qid, sim.now()));
   }
-  Task final;
-  final.kind = Task::Kind::FinalCombine;
-  final.rid = (qid << 16) | (qs.tasks.size() + 1);
-  final.combine_and = true;
-  final.child_rids = std::move(roots);
-  qs.tasks.push_back(std::move(final));
-  // Secret-counting shortcut ([7]): an auditor-scope COUNT over a single
-  // local subquery needs no glsn set at all — the owner reports only the
-  // count. (User-scope tickets still need the set for ACL filtering.)
-  if (qs.is_aggregate && qs.agg_op == AggOp::Count && qs.ticket.auditor &&
-      qs.tasks.size() == 2 && qs.tasks[0].kind == Task::Kind::Local) {
-    qs.tasks.pop_back();  // drop the FinalCombine
-    qs.tasks[0].count_only = true;
+  if (qs.tasks.size() == 1 && qs.tasks[0].kind == Task::Kind::Local) {
+    // A one-task plan needs no combine: the owner answers the gateway
+    // directly. An auditor-scope COUNT gets only the match count (secret
+    // counting, [7]), so the glsn set never leaves the owner; user-scope
+    // tickets still need the set for ACL filtering.
+    const bool secret_count =
+        qs.is_aggregate && qs.agg_op == AggOp::Count && qs.ticket.auditor;
+    qs.tasks[0].reply = secret_count ? TaskReply::Count : TaskReply::Set;
+  } else {
+    Task final;
+    final.kind = Task::Kind::FinalCombine;
+    final.rid = (qid << 16) | (qs.tasks.size() + 1);
+    final.combine_and = true;
+    final.child_rids = std::move(roots);
+    qs.tasks.push_back(std::move(final));
   }
   qs.timeout_timer = sim.set_timer(id(), kQueryTimeout);
   timer_to_qid_[qs.timeout_timer] = qid;
@@ -1620,13 +1652,7 @@ void DlaNode::handle_aggregate_query(net::Transport& sim,
   if (query_is_duplicate(sim, msg.src, user_reqid)) return;
 
   auto reply_error = [&](const std::string& error) {
-    net::Writer w;
-    w.u64(user_reqid);
-    w.boolean(false);
-    w.str(error);
-    w.f64(0.0);
-    w.u64(0);
-    reply_user(sim, msg.src, user_reqid, kAggregateResult, std::move(w));
+    reply_aggregate(sim, msg.src, user_reqid, error);
   };
   if (!tickets_->authorizes(ticket, logm::Op::Read, sim.now())) {
     reply_error("ticket rejected");
@@ -1714,16 +1740,9 @@ void DlaNode::handle_aggregate_value(net::Transport& sim,
   auto it = queries_.find(qid);
   if (it == queries_.end()) return;
   QueryState& qs = it->second;
-  sim.cancel_timer(qs.timeout_timer);
-  timer_to_qid_.erase(qs.timeout_timer);
-  net::Writer w;
-  w.u64(qs.user_reqid);
-  w.boolean(ok);
-  w.str(ok ? "" : "no matching values for aggregate");
-  w.f64(value);
-  w.u64(count);
-  reply_user(sim, qs.user, qs.user_reqid, kAggregateResult, std::move(w));
-  queries_.erase(it);
+  reply_aggregate(sim, qs.user, qs.user_reqid,
+                  ok ? "" : "no matching values for aggregate", value, count);
+  close_query(sim, qs);
 }
 
 void DlaNode::run_next_task(net::Transport& sim, QueryState& qs) {
@@ -1735,7 +1754,7 @@ void DlaNode::run_next_task(net::Transport& sim, QueryState& qs) {
       w.u64(qs.qid);
       w.u64(task.rid);
       w.str(task.expr_text);
-      w.boolean(task.count_only);
+      w.u8(static_cast<std::uint8_t>(task.reply));
       send_payload(sim, id(), cfg_->dla_nodes[task.owners[0]], kSubqueryExec,
                    std::move(w));
       return;
@@ -1771,67 +1790,66 @@ void DlaNode::run_next_task(net::Transport& sim, QueryState& qs) {
     }
     case Task::Kind::Combine:
     case Task::Kind::FinalCombine: {
-      // Group inputs by their owner node.
+      const bool is_final = task.kind == Task::Kind::FinalCombine;
+      // Group inputs by the node holding them.
       std::map<std::size_t, std::vector<std::uint64_t>> by_owner;
       for (std::uint64_t child : task.child_rids) {
         by_owner[qs.rid_owner.at(child)].push_back(child);
       }
-      task.owners.clear();
-      for (const auto& [owner, rids] : by_owner) task.owners.push_back(owner);
-      bool is_final = task.kind == Task::Kind::FinalCombine;
-      if (is_final && task.child_rids.size() == 1 && by_owner.size() == 1) {
-        // Single-subquery query: fetch the result set directly.
-        std::size_t owner = task.owners[0];
-        if (owner == index_) {
-          // Consume the staged set like the remote kSubqueryFetch path
-          // does, or the entry outlives the query.
-          auto it = result_sets_.find(task.child_rids[0]);
-          std::vector<logm::Glsn> glsns;
-          if (it != result_sets_.end()) {
-            glsns = std::move(it->second);
-            result_sets_.erase(it);
-          }
-          finish_query(sim, qs, std::move(glsns));
-          return;
-        }
-        net::Writer w;
-        w.u64(qs.qid);
-        w.u64(task.child_rids[0]);
-        send_payload(sim, id(), cfg_->dla_nodes[owner], kSubqueryFetch,
-                     std::move(w));
-        return;
-      }
-      if (by_owner.size() == 1 && !is_final) {
-        // All inputs already live on one node: it merges locally.
-        qs.rid_owner[task.rid] = task.owners[0];
-        net::Writer w;
-        w.u64(qs.qid);
-        w.u64(task.rid);
-        w.boolean(task.combine_and);
-        w.vec(by_owner.begin()->second,
-              [](net::Writer& out, std::uint64_t rid) { out.u64(rid); });
-        w.boolean(false);  // multi_owner
-        w.boolean(false);  // is_final
-        send_payload(sim, id(), cfg_->dla_nodes[task.owners[0]], kCombineExec,
-                     std::move(w));
-        return;
-      }
-      // Cross-owner combine: each owner pre-merges its inputs, stages them
-      // for the secure set protocol, and the gateway (this node) observes
-      // the result.
-      qs.rid_owner[task.rid] = index_;
-      qs.ready_pending.clear();
-      for (const auto& [owner, rids] : by_owner) {
-        qs.ready_pending.insert(owner);
+      // kCombineExec carries the ring's spec when the inputs sit on several
+      // nodes, else the reply the single owner gives.
+      auto send_combine = [&](std::size_t owner,
+                              const std::vector<std::uint64_t>& rids,
+                              const SetSpec* ring) {
         net::Writer w;
         w.u64(qs.qid);
         w.u64(task.rid);
         w.boolean(task.combine_and);
         w.vec(rids, [](net::Writer& out, std::uint64_t rid) { out.u64(rid); });
-        w.boolean(true);  // multi_owner -> stage for set protocol
-        w.boolean(is_final);
+        w.boolean(ring != nullptr);
+        if (ring != nullptr) {
+          ring->encode(w);
+        } else {
+          w.u8(static_cast<std::uint8_t>(is_final ? TaskReply::Set
+                                                  : TaskReply::Stage));
+        }
         send_payload(sim, id(), cfg_->dla_nodes[owner], kCombineExec,
                      std::move(w));
+      };
+      if (by_owner.size() == 1) {
+        // All inputs on one node: they merge where they already sit in
+        // plaintext, in place when that node is this gateway.
+        const auto& [owner, rids] = *by_owner.begin();
+        qs.rid_owner[task.rid] = owner;
+        if (owner != index_) {
+          send_combine(owner, rids, nullptr);
+          return;
+        }
+        std::vector<logm::Glsn> merged = merge_results(task.combine_and, rids);
+        if (is_final) {
+          finish_query(sim, qs, std::move(merged));
+          return;
+        }
+        result_sets_[task.rid] = std::move(merged);
+        task_completed(sim, qs.qid);
+        return;
+      }
+      // Inputs on several nodes: each owner merges its own and joins a
+      // secure set ring (intersect/union) that only this gateway observes.
+      // Intermediate sets stay inside the cluster, and only the final,
+      // ACL-filtered glsn set leaves it.
+      SetSpec spec;
+      spec.session = task.rid;
+      spec.op = task.combine_and ? SetOp::Intersect : SetOp::Union;
+      for (const auto& [owner, rids] : by_owner) {
+        spec.participants.push_back(cfg_->dla_nodes[owner]);
+      }
+      spec.collector = spec.participants[0];
+      spec.observers = {id()};
+      qs.rid_owner[task.rid] = index_;
+      pending_combines_[task.rid] = PendingCombine{qs.qid, is_final};
+      for (const auto& [owner, rids] : by_owner) {
+        send_combine(owner, rids, &spec);
       }
       return;
     }
@@ -1843,28 +1861,17 @@ void DlaNode::handle_subquery_exec(net::Transport& sim,
   net::Reader r(msg.payload);
   std::uint64_t qid = r.u64();
   std::uint64_t rid = r.u64();
+  std::string expr_text = r.str();
+  const TaskReply reply = decode_task_reply(r);
+  r.expect_end();
   // Each task rid executes exactly once: a duplicate kSubqueryExec arriving
-  // after the result was fetched would repopulate result_sets_ forever.
+  // after the result was consumed would repopulate result_sets_ forever.
   if (task_rid_guard_.check_and_mark(rid)) {
     ++replay_drops_;
     return;
   }
-  std::string expr_text = r.str();
-  bool count_only = r.boolean();
-  r.expect_end();
   Expr expr = parse(expr_text, cfg_->schema);
-  std::vector<logm::Glsn> hits = eval_local(expr);
-  std::uint32_t size = static_cast<std::uint32_t>(hits.size());
-  if (!count_only) {
-    // Secret counting keeps the glsn set out of every store, including
-    // this node's result buffer.
-    result_sets_[rid] = std::move(hits);
-  }
-  net::Writer w;
-  w.u64(qid);
-  w.u64(rid);
-  w.u32(size);
-  send_payload(sim, id(), msg.src, kSubqueryDone, std::move(w));
+  answer_task(sim, msg.src, qid, rid, reply, eval_local(expr));
 }
 
 void DlaNode::handle_join_exec(net::Transport& sim, const net::Message& msg) {
@@ -1930,12 +1937,7 @@ void DlaNode::handle_cmp_batch_result(net::Transport& sim,
       r.vec<logm::Glsn>([](net::Reader& in) { return in.u64(); });
   r.expect_end();
   sort_unique(glsns);
-  result_sets_[rid] = std::move(glsns);
-  net::Writer w;
-  w.u64(qid);
-  w.u64(rid);
-  w.u32(static_cast<std::uint32_t>(result_sets_[rid].size()));
-  send_payload(sim, id(), gateway, kSubqueryDone, std::move(w));
+  answer_task(sim, gateway, qid, rid, TaskReply::Stage, std::move(glsns));
 }
 
 void DlaNode::handle_combine_exec(net::Transport& sim,
@@ -1943,26 +1945,47 @@ void DlaNode::handle_combine_exec(net::Transport& sim,
   net::Reader r(msg.payload);
   std::uint64_t qid = r.u64();
   std::uint64_t rid = r.u64();
+  bool and_op = r.boolean();
+  auto input_rids =
+      r.vec<std::uint64_t>([](net::Reader& in) { return in.u64(); });
+  std::optional<SetSpec> ring;
+  TaskReply reply = TaskReply::Stage;
+  if (r.boolean()) {
+    ring = SetSpec::decode(r);
+  } else {
+    reply = decode_task_reply(r);
+  }
+  r.expect_end();
   // A replayed kCombineExec finds its inputs already consumed and would
   // overwrite the staged result with an empty merge.
   if (task_rid_guard_.check_and_mark(rid)) {
     ++replay_drops_;
     return;
   }
-  bool and_op = r.boolean();
-  auto input_rids =
-      r.vec<std::uint64_t>([](net::Reader& in) { return in.u64(); });
-  bool multi_owner = r.boolean();
-  r.boolean();  // is_final: only meaningful at the gateway
-  r.expect_end();
+  std::vector<logm::Glsn> merged = merge_results(and_op, input_rids);
+  if (!ring) {
+    answer_task(sim, msg.src, qid, rid, reply, std::move(merged));
+    return;
+  }
+  std::vector<bn::BigUInt> elements;
+  elements.reserve(merged.size());
+  for (logm::Glsn g : merged) {
+    elements.push_back(encode_glsn_element(g, ""));
+  }
+  sort_unique(elements);
+  join_ring(sim, *ring, std::move(elements));
+}
 
-  // Merge this node's input sets under the combine operation.
+std::vector<logm::Glsn> DlaNode::merge_results(
+    bool and_op, const std::vector<std::uint64_t>& rids) {
   std::vector<logm::Glsn> merged;
   bool first = true;
-  for (std::uint64_t input : input_rids) {
-    auto it = result_sets_.find(input);
-    std::vector<logm::Glsn> set =
-        it == result_sets_.end() ? std::vector<logm::Glsn>{} : it->second;
+  for (std::uint64_t rid : rids) {
+    std::vector<logm::Glsn> set;
+    if (auto it = result_sets_.find(rid); it != result_sets_.end()) {
+      set = std::move(it->second);
+      result_sets_.erase(it);
+    }
     if (first) {
       merged = std::move(set);
       first = false;
@@ -1970,67 +1993,37 @@ void DlaNode::handle_combine_exec(net::Transport& sim,
       merged = and_op ? logm::intersect_sorted(merged, set)
                       : logm::union_sorted(merged, set);
     }
-    result_sets_.erase(input);
   }
+  return merged;
+}
 
-  if (!multi_owner) {
-    result_sets_[rid] = std::move(merged);
-    net::Writer w;
-    w.u64(qid);
-    w.u64(rid);
-    w.u32(static_cast<std::uint32_t>(result_sets_[rid].size()));
-    send_payload(sim, id(), msg.src, kSubqueryDone, std::move(w));
-    return;
-  }
-  // Stage the merged set as this node's private input for the secure set
-  // protocol keyed by rid, then tell the gateway we are ready.
-  std::vector<bn::BigUInt> elements;
-  elements.reserve(merged.size());
-  for (logm::Glsn g : merged) {
-    elements.push_back(encode_glsn_element(g, ""));
-  }
-  stage_set_input(rid, std::move(elements));
+void DlaNode::answer_task(net::Transport& sim, net::NodeId gateway,
+                          std::uint64_t qid, std::uint64_t rid,
+                          TaskReply reply, std::vector<logm::Glsn> glsns) {
   net::Writer w;
   w.u64(qid);
   w.u64(rid);
-  send_payload(sim, id(), msg.src, kCombineReady, std::move(w));
-}
-
-void DlaNode::handle_combine_ready(net::Transport& sim,
-                                   const net::Message& msg) {
-  net::Reader r(msg.payload);
-  std::uint64_t qid = r.u64();
-  std::uint64_t rid = r.u64();
-  r.expect_end();
-  auto qit = queries_.find(qid);
-  if (qit == queries_.end()) return;
-  QueryState& qs = qit->second;
-  Task& task = qs.tasks[qs.next_task];
-  if (task.rid != rid) return;
-  // The combine's set protocol is launched exactly once, when the LAST
-  // ready arrives; a duplicate of that last ready must not relaunch it.
-  if (pending_combines_.contains(rid)) {
-    ++replay_drops_;
+  if (reply == TaskReply::Set) {
+    w.vec(glsns, [](net::Writer& out, logm::Glsn g) { out.u64(g); });
+    send_payload(sim, id(), gateway, kSubqueryData, std::move(w));
     return;
   }
-  qs.ready_pending.erase(cfg_->index_of(msg.src));
-  if (!qs.ready_pending.empty()) return;
+  w.u32(static_cast<std::uint32_t>(glsns.size()));
+  // Secret counting keeps the glsn set out of every store, including this
+  // node's result buffer.
+  if (reply == TaskReply::Stage) result_sets_[rid] = std::move(glsns);
+  send_payload(sim, id(), gateway, kSubqueryDone, std::move(w));
+}
 
-  bool is_final = task.kind == Task::Kind::FinalCombine;
-  SetSpec spec;
-  spec.session = rid;
-  spec.op = task.combine_and ? SetOp::Intersect : SetOp::Union;
-  spec.purpose = SetPurpose::Combine;
-  for (std::size_t owner : task.owners) {
-    spec.participants.push_back(cfg_->dla_nodes[owner]);
+DlaNode::QueryState* DlaNode::query_at_task(std::uint64_t qid,
+                                            std::uint64_t rid) {
+  auto it = queries_.find(qid);
+  if (it == queries_.end()) return nullptr;
+  QueryState& qs = it->second;
+  if (qs.next_task >= qs.tasks.size() || qs.tasks[qs.next_task].rid != rid) {
+    return nullptr;
   }
-  spec.collector = spec.participants[0];
-  // The gateway (this node) always observes combine results; intermediate
-  // sets stay inside the cluster, and only the final, ACL-filtered glsn set
-  // leaves it.
-  spec.observers = {id()};
-  pending_combines_[rid] = PendingCombine{qid, id(), is_final};
-  start_set_protocol(sim, spec);
+  return &qs;
 }
 
 void DlaNode::handle_subquery_done(net::Transport& sim,
@@ -2040,25 +2033,12 @@ void DlaNode::handle_subquery_done(net::Transport& sim,
   std::uint64_t rid = r.u64();
   std::uint32_t size = r.u32();
   r.expect_end();
-  auto it = queries_.find(qid);
-  if (it == queries_.end()) return;
-  QueryState& qs = it->second;
-  // Stale or duplicate notification for a task that is not current.
-  if (qs.next_task >= qs.tasks.size() || qs.tasks[qs.next_task].rid != rid) {
-    return;
-  }
-  if (qs.tasks[qs.next_task].count_only) {
+  QueryState* qs = query_at_task(qid, rid);
+  if (qs == nullptr) return;
+  if (qs->tasks[qs->next_task].reply == TaskReply::Count) {
     // Secret counting: the size IS the answer; no glsn set exists anywhere.
-    sim.cancel_timer(qs.timeout_timer);
-    timer_to_qid_.erase(qs.timeout_timer);
-    net::Writer w;
-    w.u64(qs.user_reqid);
-    w.boolean(true);
-    w.str("");
-    w.f64(static_cast<double>(size));
-    w.u64(size);
-    reply_user(sim, qs.user, qs.user_reqid, kAggregateResult, std::move(w));
-    queries_.erase(it);
+    reply_aggregate(sim, qs->user, qs->user_reqid, "", size, size);
+    close_query(sim, *qs);
     return;
   }
   task_completed(sim, qid);
@@ -2072,42 +2052,19 @@ void DlaNode::task_completed(net::Transport& sim, std::uint64_t qid) {
   if (qs.next_task < qs.tasks.size()) {
     run_next_task(sim, qs);
   }
-  // The FinalCombine task completes through finish_query instead.
-}
-
-void DlaNode::handle_subquery_fetch(net::Transport& sim,
-                                    const net::Message& msg) {
-  net::Reader r(msg.payload);
-  std::uint64_t qid = r.u64();
-  std::uint64_t rid = r.u64();
-  r.expect_end();
-  // Serve each fetch once: the first reply consumes the staged set, so a
-  // duplicate would ship an empty set that clobbers the real result.
-  if (fetch_served_guard_.check_and_mark(rid)) {
-    ++replay_drops_;
-    return;
-  }
-  auto it = result_sets_.find(rid);
-  std::vector<logm::Glsn> glsns =
-      it == result_sets_.end() ? std::vector<logm::Glsn>{} : it->second;
-  result_sets_.erase(rid);
-  net::Writer w;
-  w.u64(qid);
-  w.u64(rid);
-  w.vec(glsns, [](net::Writer& out, logm::Glsn g) { out.u64(g); });
-  send_payload(sim, id(), msg.src, kSubqueryData, std::move(w));
+  // The final task completes through finish_query instead.
 }
 
 void DlaNode::handle_subquery_data(net::Transport& sim,
                                    const net::Message& msg) {
   net::Reader r(msg.payload);
   std::uint64_t qid = r.u64();
-  r.u64();  // rid
+  std::uint64_t rid = r.u64();
   auto glsns = r.vec<logm::Glsn>([](net::Reader& in) { return in.u64(); });
   r.expect_end();
-  auto it = queries_.find(qid);
-  if (it == queries_.end()) return;
-  finish_query(sim, it->second, std::move(glsns));
+  if (QueryState* qs = query_at_task(qid, rid)) {
+    finish_query(sim, *qs, std::move(glsns));
+  }
 }
 
 void DlaNode::finish_query(net::Transport& sim, QueryState& qs,
@@ -2128,16 +2085,9 @@ void DlaNode::finish_query(net::Transport& sim, QueryState& qs,
   }
   if (qs.is_aggregate) {
     if (qs.agg_op == AggOp::Count) {
-      sim.cancel_timer(qs.timeout_timer);
-      timer_to_qid_.erase(qs.timeout_timer);
-      net::Writer w;
-      w.u64(qs.user_reqid);
-      w.boolean(true);
-      w.str("");
-      w.f64(static_cast<double>(glsns.size()));
-      w.u64(glsns.size());
-      reply_user(sim, qs.user, qs.user_reqid, kAggregateResult, std::move(w));
-      queries_.erase(qs.qid);
+      reply_aggregate(sim, qs.user, qs.user_reqid, "",
+                      static_cast<double>(glsns.size()), glsns.size());
+      close_query(sim, qs);
       return;
     }
     // Value aggregate: delegate to the attribute's owner, which replies
@@ -2176,27 +2126,8 @@ void DlaNode::finish_query(net::Transport& sim, QueryState& qs,
     }
     return;  // reply deferred until the co-signature completes
   }
-  reply_with_result(sim, qs, glsns, std::nullopt);
-  queries_.erase(qs.qid);
-}
-
-void DlaNode::reply_with_result(
-    net::Transport& sim, const QueryState& qs,
-    const std::vector<logm::Glsn>& glsns,
-    const std::optional<crypto::ThresholdSignature>& cert) {
-  sim.cancel_timer(qs.timeout_timer);
-  timer_to_qid_.erase(qs.timeout_timer);
-  net::Writer w;
-  w.u64(qs.user_reqid);
-  w.boolean(true);
-  w.str("");
-  w.vec(glsns, [](net::Writer& out, logm::Glsn g) { out.u64(g); });
-  w.boolean(cert.has_value());
-  if (cert.has_value()) {
-    w.big(cert->r);
-    w.big(cert->s);
-  }
-  reply_user(sim, qs.user, qs.user_reqid, kAuditResult, std::move(w));
+  reply_audit(sim, qs.user, qs.user_reqid, "", glsns);
+  close_query(sim, qs);
 }
 
 // --------------------------------------- distributed key generation -------
@@ -2422,33 +2353,22 @@ void DlaNode::handle_sign_share(net::Transport& sim, const net::Message& msg) {
     // not reach the user as a "certified" report.
     bool valid =
         crypto::verify_threshold(*cfg_->threshold_params, st.message, sig);
-    reply_with_result(sim, qit->second, st.glsns,
-                      valid ? std::optional<crypto::ThresholdSignature>(sig)
-                            : std::nullopt);
-    queries_.erase(qit);
+    reply_audit(sim, qit->second.user, qit->second.user_reqid, "", st.glsns,
+                valid ? std::optional<crypto::ThresholdSignature>(sig)
+                      : std::nullopt);
+    close_query(sim, qit->second);
   }
   sign_state_.erase(it);
 }
 
 void DlaNode::fail_query(net::Transport& sim, QueryState& qs,
                          const std::string& error) {
-  sim.cancel_timer(qs.timeout_timer);
-  timer_to_qid_.erase(qs.timeout_timer);
-  net::Writer w;
-  w.u64(qs.user_reqid);
-  w.boolean(false);
-  w.str(error);
   if (qs.is_aggregate) {
-    w.f64(0.0);
-    w.u64(0);
-    reply_user(sim, qs.user, qs.user_reqid, kAggregateResult, std::move(w));
+    reply_aggregate(sim, qs.user, qs.user_reqid, error);
   } else {
-    w.vec(std::vector<logm::Glsn>{},
-          [](net::Writer& out, logm::Glsn g) { out.u64(g); });
-    w.boolean(false);  // no certificate
-    reply_user(sim, qs.user, qs.user_reqid, kAuditResult, std::move(w));
+    reply_audit(sim, qs.user, qs.user_reqid, error);
   }
-  queries_.erase(qs.qid);
+  close_query(sim, qs);
 }
 
 }  // namespace dla::audit

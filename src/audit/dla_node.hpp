@@ -251,6 +251,10 @@ class DlaNode : public net::Node {
   void handle_set_decrypt(net::Transport& sim, const net::Message& msg);
   void handle_set_result(net::Transport& sim, const net::Message& msg);
   crypto::PhKey& session_key(SessionId session);
+  // Joins the ring of `spec` with `elements` as this node's input, once per
+  // session and only at a listed position (kSetStart and ring combines).
+  void join_ring(net::Transport& sim, const SetSpec& spec,
+                 std::vector<bn::BigUInt> elements);
   void ring_encrypt_and_forward(net::Transport& sim, const SetSpec& spec,
                                 SetChunkHeader header, std::uint32_t hops,
                                 std::vector<bn::BigUInt> elements);
@@ -302,10 +306,8 @@ class DlaNode : public net::Node {
   void handle_subquery_exec(net::Transport& sim, const net::Message& msg);
   void handle_join_exec(net::Transport& sim, const net::Message& msg);
   void handle_combine_exec(net::Transport& sim, const net::Message& msg);
-  void handle_combine_ready(net::Transport& sim, const net::Message& msg);
   void handle_subquery_done(net::Transport& sim, const net::Message& msg);
   void handle_cmp_batch_result(net::Transport& sim, const net::Message& msg);
-  void handle_subquery_fetch(net::Transport& sim, const net::Message& msg);
   void handle_subquery_data(net::Transport& sim, const net::Message& msg);
 
   // Gateway-side task plan.
@@ -314,13 +316,13 @@ class DlaNode : public net::Node {
     std::uint64_t rid = 0;
     // Local: whole expression evaluable at `owners[0]`.
     // Join: cross-node attr-vs-attr predicate; owners = {lhs, rhs} indices.
-    // Combine: children combined with `combine_and`; owners = input owners.
+    // Combine: children combined with `combine_and`.
     std::string expr_text;
     Predicate join_pred;
     bool combine_and = true;
-    // Secret counting ([7]): the owner evaluates and reports only the
-    // match count; the glsn set is never materialised anywhere else.
-    bool count_only = false;
+    // How the owner of a Local task answers: Stage unless the task is the
+    // whole plan (see start_query).
+    TaskReply reply = TaskReply::Stage;
     std::vector<std::uint64_t> child_rids;
     std::vector<std::size_t> owners;  // cluster indices
   };
@@ -332,7 +334,6 @@ class DlaNode : public net::Node {
     std::vector<Task> tasks;
     std::size_t next_task = 0;
     std::map<std::uint64_t, std::size_t> rid_owner;  // rid -> cluster index
-    std::set<std::size_t> ready_pending;             // combine staging acks
     // Aggregate-query extension: when set, the final glsn set is not
     // returned; it is aggregated instead (count at the gateway, value
     // aggregates at the attribute's owner node).
@@ -360,6 +361,16 @@ class DlaNode : public net::Node {
   void fail_query(net::Transport& sim, QueryState& qs,
                   const std::string& error);
   void task_completed(net::Transport& sim, std::uint64_t qid);
+  // The query whose current task is `rid`, or null for a stale, duplicate
+  // or unknown task answer.
+  QueryState* query_at_task(std::uint64_t qid, std::uint64_t rid);
+  // Merges (and drops) this node's staged task results under AND / OR.
+  std::vector<logm::Glsn> merge_results(bool and_op,
+                                        const std::vector<std::uint64_t>& rids);
+  // Owner side: answers the gateway for task `rid` as `reply` asks.
+  void answer_task(net::Transport& sim, net::NodeId gateway, std::uint64_t qid,
+                   std::uint64_t rid, TaskReply reply,
+                   std::vector<logm::Glsn> glsns);
   std::vector<logm::Glsn> eval_local(const Expr& expr) const;
   // The engine to evaluate `attrs` against: the primary engine when they are
   // this node's own attributes, else the replica engine.
@@ -369,10 +380,9 @@ class DlaNode : public net::Node {
   // or its successor replica when the primary is suspected.
   std::size_t owner_for(const std::string& attr, net::SimTime now) const;
 
-  // Pending combine staging at owner nodes: session -> gateway to notify.
+  // Gateway side: a ring combine in flight, keyed by its session (= rid).
   struct PendingCombine {
     std::uint64_t qid = 0;
-    net::NodeId gateway = 0;
     bool is_final = false;
   };
 
@@ -499,15 +509,13 @@ class DlaNode : public net::Node {
   // Duplicate-delivery guards (see replay_guard.hpp): ring sessions this
   // node already joined / finished decrypting, collector sessions already
   // combined, result sessions already delivered, task rids already executed,
-  // fetches already served, sign sessions already responded to, DKG sessions
-  // already finished.
+  // sign sessions already responded to, DKG sessions already finished.
   ReplayGuard set_started_guard_;
   ReplayGuard set_spent_guard_;
   ReplayGuard set_combined_guard_;
   ReplayGuard set_result_guard_;
   ReplayGuard task_rid_guard_;
   ReplayGuard batch_result_guard_;
-  ReplayGuard fetch_served_guard_;
   ReplayGuard sign_served_guard_;
   ReplayGuard dkg_done_guard_;
   ReplayGuard sum_done_guard_;
@@ -583,13 +591,19 @@ class DlaNode : public net::Node {
     bool challenged = false;
   };
   std::map<SessionId, SignState> sign_state_;
-  void reply_with_result(net::Transport& sim, const QueryState& qs,
-                         const std::vector<logm::Glsn>& glsns,
-                         const std::optional<crypto::ThresholdSignature>& cert);
-  // Every final query reply to a user funnels through here: journals the
-  // payload under (user, reqid) for at-least-once replay, then sends.
+  // The two answers a user can get (ok iff `error` is empty). Both journal
+  // the payload under (user, reqid) for at-least-once replay, then send.
+  void reply_audit(
+      net::Transport& sim, net::NodeId user, std::uint64_t user_reqid,
+      const std::string& error, const std::vector<logm::Glsn>& glsns = {},
+      const std::optional<crypto::ThresholdSignature>& cert = std::nullopt);
+  void reply_aggregate(net::Transport& sim, net::NodeId user,
+                       std::uint64_t user_reqid, const std::string& error,
+                       double value = 0.0, std::uint64_t count = 0);
   void reply_user(net::Transport& sim, net::NodeId user,
                   std::uint64_t user_reqid, MsgType type, net::Writer w);
+  // Drops an answered query at the gateway, watchdog included.
+  void close_query(net::Transport& sim, const QueryState& qs);
   bool query_is_duplicate(net::Transport& sim, net::NodeId user,
                           std::uint64_t user_reqid);
 

@@ -67,11 +67,9 @@ std::string_view classify_message(MsgType type) {
     case kAuditResult:
     case kSubqueryExec:
     case kSubqueryDone:
-    case kSubqueryFetch:
     case kSubqueryData:
     case kJoinExec:
     case kCombineExec:
-    case kCombineReady:
     case kAggregateQuery:
     case kAggregateExec:
     case kAggregateValue:

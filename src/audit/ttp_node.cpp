@@ -88,33 +88,47 @@ void TtpNode::handle_cmp_value(net::Transport& sim, const net::Message& msg) {
     ++replay_drops_;
     return;
   }
-  cmp_[session].values[index] = std::move(w);
+  // A value counts only from the participant at its index. Once the spec
+  // is known that is checked here; earlier arrivals wait for maybe_finish.
+  CmpState& state = cmp_[session];
+  if (state.have_spec && !from_participant(state.spec, index, msg.src)) {
+    ++detail::wire_reject_counters_mut().codec_rejects;
+    return;
+  }
+  state.values[{index, msg.src}] = std::move(w);
   maybe_finish(sim, session);
+}
+
+bool TtpNode::from_participant(const CmpSpec& spec, std::uint32_t index,
+                               net::NodeId sender) {
+  return index < spec.participants.size() &&
+         spec.participants[index] == sender;
 }
 
 void TtpNode::maybe_finish(net::Transport& sim, SessionId session) {
   auto it = cmp_.find(session);
   if (it == cmp_.end()) return;
   CmpState& state = it->second;
-  if (!state.have_spec ||
-      state.values.size() < state.spec.participants.size()) {
-    return;
-  }
+  if (!state.have_spec) return;
   const CmpSpec& spec = state.spec;
+  const std::size_t refused = std::erase_if(state.values, [&](const auto& v) {
+    return !from_participant(spec, v.first.first, v.first.second);
+  });
+  detail::wire_reject_counters_mut().codec_rejects += refused;
+  if (state.values.size() < spec.participants.size()) return;
   ++sessions_served_;
 
   if (spec.op == CmpOpKind::Rank) {
     // Private ranks: each participant learns only its own position.
-    for (const auto& [index, w] : state.values) {
+    for (const auto& [key, w] : state.values) {
       std::uint32_t rank = 0;
       for (const auto& [other, ow] : state.values) {
-        if (other != index && ow < w) ++rank;
+        if (other != key && ow < w) ++rank;
       }
       net::Writer out;
       out.u64(session);
       out.u32(rank);
-      sim.send(id(), spec.participants[index], kRankResult,
-               std::move(out).take());
+      sim.send(id(), key.second, kRankResult, std::move(out).take());
     }
     cmp_.erase(it);
     cmp_served_guard_.insert(session);
@@ -126,7 +140,7 @@ void TtpNode::maybe_finish(net::Transport& sim, SessionId session) {
     case CmpOpKind::Equality: {
       bool all_equal = true;
       const bn::BigUInt& first = state.values.begin()->second;
-      for (const auto& [index, w] : state.values) {
+      for (const auto& [key, w] : state.values) {
         if (w != first) all_equal = false;
       }
       outcome = all_equal ? 1 : 0;
@@ -134,13 +148,13 @@ void TtpNode::maybe_finish(net::Transport& sim, SessionId session) {
     }
     case CmpOpKind::Max:
     case CmpOpKind::Min: {
-      std::uint32_t best = state.values.begin()->first;
-      for (const auto& [index, w] : state.values) {
-        const bn::BigUInt& current = state.values.at(best);
-        bool better = spec.op == CmpOpKind::Max ? w > current : w < current;
-        if (better) best = index;
+      auto best = state.values.begin();
+      for (auto v = state.values.begin(); v != state.values.end(); ++v) {
+        bool better = spec.op == CmpOpKind::Max ? v->second > best->second
+                                                : v->second < best->second;
+        if (better) best = v;
       }
-      outcome = best;
+      outcome = best->first.first;
       break;
     }
     case CmpOpKind::Rank:
@@ -214,6 +228,7 @@ void TtpNode::handle_cmp_batch(net::Transport& sim, const net::Message& msg) {
     return;
   }
   std::uint8_t side = r.u8();
+  if (side > 1) throw net::CodecError("kCmpBatch side out of range");
   auto op = static_cast<CmpOp>(r.u8());
   net::NodeId result_owner = r.u32();
   net::NodeId gateway = r.u32();
@@ -230,7 +245,6 @@ void TtpNode::handle_cmp_batch(net::Transport& sim, const net::Message& msg) {
   batch.op = op;
   batch.result_owner = result_owner;
   batch.gateway = gateway;
-  if (side > 1) return;  // malformed
   batch.sides[side].entries = std::move(entries);
   batch.sides[side].present = true;
   if (!batch.sides[0].present || !batch.sides[1].present) return;

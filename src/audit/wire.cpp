@@ -129,6 +129,14 @@ std::string_view to_string(AggOp op) {
   return "?";
 }
 
+TaskReply decode_task_reply(net::Reader& r) {
+  const std::uint8_t reply = r.u8();
+  if (reply > static_cast<std::uint8_t>(TaskReply::Set)) {
+    throw net::CodecError("unknown query task reply mode");
+  }
+  return static_cast<TaskReply>(reply);
+}
+
 bn::BigUInt encode_glsn_element(logm::Glsn glsn,
                                 const std::string& value_salt) {
   bn::BigUInt element(glsn + 1);

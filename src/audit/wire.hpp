@@ -74,13 +74,13 @@ enum MsgType : std::uint32_t {
   // confidential audit queries (Figure 3)
   kAuditQuery = 0x80,    // user -> gateway {qid, ticket, criterion}
   kAuditResult = 0x81,   // gateway -> user {qid, ok, error, glsns}
-  kSubqueryExec = 0x82,  // gateway -> owner {qid, sq_index, expr, count_only}
-  kSubqueryDone = 0x83,  // owner -> gateway {qid, sq_index, result_size}
-  kSubqueryFetch = 0x84, // gateway -> owner {qid, sq_index} (single-SQ path)
-  kSubqueryData = 0x85,  // owner -> gateway {qid, sq_index, glsns}
+  kSubqueryExec = 0x82,  // gateway -> owner {qid, rid, expr, reply}
+  kSubqueryDone = 0x83,  // owner -> gateway {qid, rid, result_size}
+  // 0x84: retired id, never reassigned.
+  kSubqueryData = 0x85,  // owner -> gateway {qid, rid, glsns} (final set)
   kJoinExec = 0x86,      // gateway -> both attr owners {join task parameters}
-  kCombineExec = 0x87,   // gateway -> result owners {combine task parameters}
-  kCombineReady = 0x88,  // owner -> gateway {qid, rid} (inputs staged)
+  kCombineExec = 0x87,   // gateway -> input owners {inputs, reply or ring}
+  // 0x88: retired id, never reassigned.
   kAggregateQuery = 0x89,  // user -> gateway {qid, ticket, criterion, op, attr}
   kAggregateExec = 0x8A,   // gateway -> attr owner {qid, op, attr, glsns}
   kAggregateValue = 0x8B,  // owner -> gateway {qid, ok, value}
@@ -127,7 +127,7 @@ enum class SetOp : std::uint8_t { Intersect = 0, Union = 1 };
 enum class SetPurpose : std::uint8_t {
   Staged = 0,      // driver staged elements via stage_set_input()
   AclEntries = 1,  // node contributes its canonical ACL entries (4.1)
-  Combine = 2,     // node contributes a query intermediate result set
+  // 2: retired value, never reassigned.
 };
 
 struct SetSpec {
@@ -213,6 +213,16 @@ struct CmpBatchEntry {
 enum class AggOp : std::uint8_t { Count = 0, Sum = 1, Max = 2, Min = 3, Avg = 4 };
 
 std::string_view to_string(AggOp op);
+
+// ------------------------------------------------------- query tasks --
+// How an owner answers a query task (the `reply` byte of kSubqueryExec and
+// of a ring-less kCombineExec): keep the set for a later combine and report
+// its size (kSubqueryDone), report only the size (secret counting, [7]), or
+// send the set itself as the query's final result (kSubqueryData). Any
+// other byte is a codec reject.
+enum class TaskReply : std::uint8_t { Stage = 0, Count = 1, Set = 2 };
+
+TaskReply decode_task_reply(net::Reader& r);
 
 // --------------------------------------------------------- glsn elements --
 // Set elements that embed a recoverable glsn: (glsn+1) << 160 | H(value).

@@ -333,7 +333,7 @@ TEST(CodecTruncation, LiveTrafficSurvivesTruncationReplay) {
   for (const Captured& c : captured) types.insert(c.type);
   for (std::uint32_t required :
        {kGlsnRequest, kGlsnPropose, kLogFragment, kAuditQuery, kSubqueryExec,
-        kSetStart, kSetRing, kAggregateExec}) {
+        kCombineExec, kSetRing, kAggregateExec}) {
     EXPECT_TRUE(types.count(required))
         << "workload never delivered type 0x" << std::hex << required;
   }
@@ -387,7 +387,7 @@ TEST(CodecTruncation, LiveTrafficSurvivesTruncationReplay) {
   EXPECT_EQ(outcome->glsns.size(), 2u);
 }
 
-// kLogFragment's copy_seq and kSubqueryExec's count_only are mandatory: a
+// kLogFragment's copy_seq and kSubqueryExec's reply byte are mandatory: a
 // frame that stops right before either is rejected by the owner's real
 // handler and changes no store. The complete frame is the control.
 TEST(CodecTruncation, MissingMandatoryTrailingFieldIsRejected) {
@@ -418,20 +418,50 @@ TEST(CodecTruncation, MissingMandatoryTrailingFieldIsRejected) {
   EXPECT_EQ(codec_rejects_of(kLogFragment, std::move(log).take()), 0u);
   EXPECT_EQ(owner.storage().size(), 1u);
 
-  // Distinct rids: the owner marks a rid executed before it decodes the
-  // rest of the frame.
-  auto exec = [](std::uint64_t rid, bool with_count_only) {
+  auto exec = [](std::uint64_t rid, bool with_reply) {
     net::Writer w;
     w.u64(1);  // qid
     w.u64(rid);
     w.str("Time > 0");
-    if (with_count_only) w.boolean(false);
+    if (with_reply) w.u8(0);  // stage
     return std::move(w).take();
   };
   EXPECT_EQ(codec_rejects_of(kSubqueryExec, exec(2, false)), 1u);
   EXPECT_EQ(owner.session_residue(), 0u);  // no result set buffered
   EXPECT_EQ(codec_rejects_of(kSubqueryExec, exec(3, true)), 0u);
   EXPECT_EQ(owner.session_residue(), 1u);
+  reset_wire_reject_counters();
+}
+
+// The reply byte of kSubqueryExec is 0 (stage), 1 (count) or 2 (set); any
+// other value is rejected before the owner touches any state, so the same
+// rid still executes once a well-formed frame arrives.
+TEST(CodecTruncation, UnknownSubqueryReplyModeIsRejected) {
+  Cluster::Options options;
+  options.schema = logm::paper_schema();
+  options.partition = logm::paper_partition();
+  Cluster cluster(options);
+  DlaNode& owner = cluster.dla(0);
+  const net::NodeId gateway = cluster.dla(1).id();
+  auto exec = [&](std::uint8_t reply) {
+    net::Writer w;
+    w.u64(1);  // qid
+    w.u64(9);  // rid
+    w.str("Time > 0");
+    w.u8(reply);
+    reset_wire_reject_counters();
+    cluster.sim().send(gateway, owner.id(), kSubqueryExec,
+                       std::move(w).take());
+    cluster.run();
+  };
+  exec(3);
+  EXPECT_EQ(wire_reject_counters().codec_rejects, 1u);
+  EXPECT_EQ(owner.session_residue(), 0u);
+  EXPECT_EQ(owner.replay_drops(), 0u);
+  exec(0);
+  EXPECT_EQ(wire_reject_counters().codec_rejects, 0u);
+  EXPECT_EQ(owner.replay_drops(), 0u);
+  EXPECT_EQ(owner.session_residue(), 1u);  // the rid was still fresh
   reset_wire_reject_counters();
 }
 

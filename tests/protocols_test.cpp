@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "audit/cluster.hpp"
+#include "audit/metrics.hpp"
 #include "crypto/modexp_engine.hpp"
 #include "crypto/pohlig_hellman.hpp"
 #include "logm/workload.hpp"
@@ -450,6 +451,101 @@ TEST_F(ProtocolFixture, SecureRankIsPrivatePerParticipant) {
   EXPECT_EQ(ranks[0], 1u);  // 40
   EXPECT_EQ(ranks[3], 2u);  // 99
   EXPECT_EQ(ranks[1], 3u);  // 170 is largest
+}
+
+// The TTP counts a kCmpValue only from the participant at its index. These
+// sessions drive the TTP frame by frame: three participants with W = 10, 11,
+// 12, and a forged value at index 7 from P3, which is not in the session.
+struct TtpForgeryFixture : ProtocolFixture {
+  TtpForgeryFixture() {
+    const auto& nodes = cluster.config()->dla_nodes;
+    spec.participants = {nodes[0], nodes[1], nodes[2]};
+    spec.ttp = cluster.config()->ttp;
+  }
+  void send_spec() {
+    net::Writer w;
+    spec.encode(w, /*include_transform=*/false);
+    cluster.sim().send(spec.participants[0], spec.ttp, kCmpSpec,
+                       std::move(w).take());
+    cluster.run();
+  }
+  void send_value(net::NodeId from, std::uint32_t index, std::uint64_t value) {
+    net::Writer w;
+    w.u64(spec.session);
+    w.u32(index);
+    w.big(bn::BigUInt(value));
+    cluster.sim().send(from, spec.ttp, kCmpValue, std::move(w).take());
+    cluster.run();
+  }
+  net::NodeId forger() const { return cluster.config()->dla_nodes[3]; }
+  CmpSpec spec;
+};
+
+TEST_F(TtpForgeryFixture, ForgedValueAfterSpecCannotDecideMax) {
+  spec.session = 25;
+  spec.op = CmpOpKind::Max;
+  spec.observers = {spec.participants[0]};
+  std::optional<std::uint32_t> winner;
+  cluster.dla(0).on_cmp_result = [&](SessionId, CmpOpKind,
+                                     std::uint32_t result) { winner = result; };
+  send_spec();
+  send_value(spec.participants[0], 0, 10);
+  send_value(spec.participants[1], 1, 11);
+  reset_wire_reject_counters();
+  send_value(forger(), 7, 1);
+  EXPECT_EQ(wire_reject_counters().codec_rejects, 1u);
+  EXPECT_FALSE(winner.has_value());  // still one real value short
+  send_value(spec.participants[2], 2, 12);
+  ASSERT_TRUE(winner.has_value());
+  EXPECT_EQ(*winner, 2u);
+  EXPECT_EQ(cluster.ttp().session_residue(), 0u);
+}
+
+TEST_F(TtpForgeryFixture, ForgedValueBeforeSpecIsDroppedFromRank) {
+  spec.session = 26;
+  spec.op = CmpOpKind::Rank;
+  std::map<std::size_t, std::uint32_t> ranks;
+  for (std::size_t i = 0; i < 4; ++i) {
+    cluster.dla(i).on_rank = [&, i](SessionId, std::uint32_t rank) {
+      ranks[i] = rank;
+    };
+  }
+  send_value(spec.participants[0], 0, 10);
+  send_value(spec.participants[1], 1, 11);
+  send_value(forger(), 7, 1);
+  reset_wire_reject_counters();
+  send_spec();
+  EXPECT_EQ(wire_reject_counters().codec_rejects, 1u);
+  EXPECT_TRUE(ranks.empty());
+  send_value(spec.participants[2], 2, 12);
+  ASSERT_EQ(ranks.size(), 3u);
+  EXPECT_EQ(ranks[0], 0u);
+  EXPECT_EQ(ranks[1], 1u);
+  EXPECT_EQ(ranks[2], 2u);
+  EXPECT_EQ(cluster.ttp().session_residue(), 0u);
+}
+
+TEST_F(ProtocolFixture, TtpRejectsCmpBatchSideOutOfRange) {
+  const auto& nodes = cluster.config()->dla_nodes;
+  net::Writer w;
+  w.u64(5);  // rid
+  w.u64(1);  // qid
+  w.u8(2);   // side: only 0 and 1 exist
+  w.u8(static_cast<std::uint8_t>(CmpOp::Lt));
+  w.u32(nodes[0]);  // result owner
+  w.u32(nodes[1]);  // gateway
+  w.vec(std::vector<CmpBatchEntry>{},
+        [](net::Writer& out, const CmpBatchEntry& e) {
+          out.u64(e.glsn);
+          out.big(e.w);
+        });
+  reset_wire_reject_counters();
+  cluster.sim().send(nodes[0], cluster.config()->ttp, kCmpBatch,
+                     std::move(w).take());
+  cluster.run();
+  EXPECT_EQ(wire_reject_counters().codec_rejects, 1u);
+  EXPECT_EQ(cluster.ttp().session_residue(), 0u);
+  reset_wire_reject_counters();
 }
 
 // ------------------------------------------------- integrity checking --

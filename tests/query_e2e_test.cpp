@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "audit/cluster.hpp"
+#include "audit/metrics.hpp"
 #include "logm/workload.hpp"
 
 namespace dla::audit {
@@ -449,6 +450,45 @@ TEST_F(E2eFixture, InformationFlowStaysInsideTheCluster) {
   EXPECT_EQ(to_user, 1u);       // exactly the final result
   EXPECT_EQ(user_senders, 1u);  // from the gateway only
   EXPECT_EQ(to_ttp, 0u);        // no TTP involvement without a join
+}
+
+TEST_F(E2eFixture, ConjunctsLandingOnOneNodeMergeWithoutARing) {
+  // The C1 < C2 join lands at P3 (C1's owner), which also owns protocl: P3
+  // merges both conjunct results in plaintext and answers the gateway, so
+  // no ring runs and no modular exponentiation happens. The 12 messages:
+  // query, exec + done, 2 join execs, 2 batches, batch result + done,
+  // combine exec + data, result.
+  const char* criterion = "C1 < C2 AND protocl = 'UDP'";
+  std::vector<logm::Glsn> expected;
+  Expr e = parse(criterion, cluster.config()->schema);
+  auto records = logm::paper_table1_records();
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (evaluate(e, records[i].attrs)) expected.push_back(row(i));
+  }
+  ASSERT_FALSE(expected.empty());
+  cluster.user(0).set_gateway(0);
+  cluster.sim().reset_stats();
+  reset_crypto_op_counters();
+  auto outcome = run_query(criterion);
+  ASSERT_TRUE(outcome.ok) << outcome.error;
+  EXPECT_EQ(outcome.glsns, expected);
+  EXPECT_EQ(crypto_op_counters().modexp_count, 0u);
+  EXPECT_EQ(cluster.sim().stats().messages_sent, 12u);
+}
+
+TEST_F(E2eFixture, QueryMessageCountsThroughAGatewayOwningNoAttribute) {
+  // P0 owns only Time. A one-task plan is answered by its owner directly
+  // (query, exec, data, result); a two-owner conjunction runs a two-party
+  // ring that each owner joins on its kCombineExec.
+  cluster.user(0).set_gateway(0);
+  auto messages_for = [&](const char* criterion) {
+    cluster.sim().reset_stats();
+    auto outcome = run_query(criterion);
+    EXPECT_TRUE(outcome.ok) << criterion << ": " << outcome.error;
+    return cluster.sim().stats().messages_sent;
+  };
+  EXPECT_EQ(messages_for("protocl = 'UDP'"), 4u);
+  EXPECT_EQ(messages_for("id = 'U1' AND protocl = 'UDP'"), 15u);
 }
 
 TEST_F(E2eFixture, ConcurrentQueriesFromMultipleUsersAllAnswer) {

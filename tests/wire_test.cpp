@@ -123,7 +123,8 @@ TEST(Wire, ReportMessageBindsRequestAndGlsns) {
 TEST(Wire, MalformedPayloadsDoNotCrashNodes) {
   Cluster cluster(Cluster::Options{logm::paper_schema(), 3, 1,
                                    std::nullopt, 1, true});
-  // Garbage at every protocol message type, plus an unknown type.
+  // Garbage at every protocol message type, plus unknown types: the retired
+  // ids 0x84 and 0x88 and one never assigned.
   std::vector<std::uint32_t> types = {
       kGlsnRequest, kGlsnForward, kGlsnPropose,   kGlsnVote,
       kGlsnCommit,  kGlsnReply,   kLogFragment,   kAccumDeposit,
@@ -131,8 +132,8 @@ TEST(Wire, MalformedPayloadsDoNotCrashNodes) {
       kSetFull,     kSetDecrypt,  kSetResult,     kSumStart,
       kSumShare,    kSumEval,     kSumResult,     kCmpParams,
       kCmpResult,   kRankResult,  kIntegrityPass, kAuditQuery,
-      kSubqueryExec, kJoinExec,   kCombineExec,   kCombineReady,
-      kSubqueryDone, kCmpBatchResult, kSubqueryFetch, kSubqueryData,
+      kSubqueryExec, kJoinExec,   kCombineExec,   0x88,
+      kSubqueryDone, kCmpBatchResult, 0x84, kSubqueryData,
       0xdeadbeef};
   net::NodeId target = cluster.config()->dla_nodes[0];
   net::NodeId user_id = cluster.user(0).id();
