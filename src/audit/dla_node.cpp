@@ -48,6 +48,17 @@ void sort_unique(std::vector<logm::Glsn>& v) {
   v.erase(std::unique(v.begin(), v.end()), v.end());
 }
 
+// True when every element lies in [1, p-1], the only inputs a PhKey accepts:
+// a ring frame carrying anything else would make encrypt_batch or
+// decrypt_batch throw out of the handler.
+bool in_ph_group(const crypto::PhDomain& domain,
+                 const std::vector<bn::BigUInt>& elements) {
+  return std::all_of(elements.begin(), elements.end(),
+                     [&](const bn::BigUInt& e) {
+                       return !e.is_zero() && e < domain.p;
+                     });
+}
+
 }  // namespace
 
 DlaNode::DlaNode(std::string name, std::uint64_t seed)
@@ -714,6 +725,11 @@ void DlaNode::handle_set_ring(net::Transport& sim, const net::Message& msg) {
   std::uint32_t hops = r.u32();
   std::vector<bn::BigUInt> elements = decode_elements(r);
   r.expect_end();
+  // Refused before ring_encrypt_and_forward mints a session key for it.
+  if (!in_ph_group(cfg_->ph_domain, elements)) {
+    ++set_ring_rejects_;
+    return;
+  }
   ring_encrypt_and_forward(sim, spec, header, hops, std::move(elements));
 }
 
@@ -725,10 +741,12 @@ void DlaNode::handle_set_full(net::Transport& sim, const net::Message& msg) {
   r.expect_end();
   // Validate before touching set_collect_: `origin` keys full_sets, so an
   // out-of-range origin would count toward the participants-landed total
-  // and leave residue for a session that can never complete.
+  // and leave residue for a session that can never complete; an element
+  // outside the group would reach every participant's decrypt_batch.
   if (header.ring_id != kRingEncrypt ||
       header.origin >= spec.participants.size() || header.n_chunks == 0 ||
-      header.chunk_seq >= header.n_chunks) {
+      header.chunk_seq >= header.n_chunks ||
+      !in_ph_group(cfg_->ph_domain, elements)) {
     ++set_ring_rejects_;
     return;
   }
@@ -820,10 +838,12 @@ void DlaNode::handle_set_decrypt(net::Transport& sim,
   r.expect_end();
   // `hops` indexes participants on forward, so it must be validated BEFORE
   // the increment below — a corrupted value at or past participants.size()
-  // previously indexed out of bounds here.
+  // previously indexed out of bounds here. The elements are checked before
+  // the chunk is marked seen, so decrypt_batch cannot throw after it.
   if (header.ring_id != kRingDecrypt || header.n_chunks == 0 ||
       header.chunk_seq >= header.n_chunks ||
-      hops >= spec.participants.size()) {
+      hops >= spec.participants.size() ||
+      !in_ph_group(cfg_->ph_domain, elements)) {
     ++set_ring_rejects_;
     return;
   }
@@ -950,11 +970,8 @@ void DlaNode::stage_sum_input(SessionId session, bn::BigUInt value) {
 }
 
 void DlaNode::start_sum(net::Transport& sim, const SumSpec& spec) {
-  if (spec.threshold_k == 0 || spec.threshold_k > spec.participants.size())
-    throw std::invalid_argument("start_sum: bad threshold");
-  if (!spec.weights.empty() &&
-      spec.weights.size() != spec.participants.size())
-    throw std::invalid_argument("start_sum: weight count mismatch");
+  if (!spec.well_formed())
+    throw std::invalid_argument("start_sum: bad threshold or weight count");
   for (net::NodeId p : spec.participants) {
     net::Writer w;
     spec.encode(w);
@@ -1011,8 +1028,16 @@ void DlaNode::handle_sum_share(net::Transport& sim, const net::Message& msg) {
     ++replay_drops_;
     return;
   }
+  // A share counts only from the participant at its index. Once the spec
+  // is known that is checked here; earlier arrivals wait for
+  // maybe_emit_sum_eval.
   SumState& state = sum_state_[session];
-  state.shares_received[from] = std::move(y);
+  if (!state.spec.participants.empty() &&
+      !from_participant(state.spec.participants, from, msg.src)) {
+    ++detail::wire_reject_counters_mut().codec_rejects;
+    return;
+  }
+  state.shares_received[{from, msg.src}] = std::move(y);
   maybe_emit_sum_eval(sim, session);
 }
 
@@ -1020,19 +1045,21 @@ void DlaNode::maybe_emit_sum_eval(net::Transport& sim, SessionId session) {
   SumState& state = sum_state_[session];
   // Shares can outrun the kSumStart carrying the spec under asymmetric
   // latencies; both arrival paths funnel through this check.
-  if (state.spec.participants.empty() ||
-      state.shares_received.size() < state.spec.participants.size() ||
-      state.evaluated) {
-    return;
-  }
+  if (state.spec.participants.empty() || state.evaluated) return;
+  detail::wire_reject_counters_mut().codec_rejects +=
+      std::erase_if(state.shares_received, [&](const auto& share) {
+        return !from_participant(state.spec.participants, share.first.first,
+                                 share.first.second);
+      });
+  if (state.shares_received.size() < state.spec.participants.size()) return;
   state.evaluated = true;
   // F(x_me) = sum_i alpha_i * s_i,me  (alpha_i = 1 when unweighted).
   crypto::ShamirField field(cfg_->shamir_prime);
   bn::BigUInt f;
-  for (const auto& [from_index, share] : state.shares_received) {
+  for (const auto& [key, share] : state.shares_received) {
     bn::BigUInt term = share;
     if (!state.spec.weights.empty()) {
-      term = field.mul(state.spec.weights[from_index], term);
+      term = field.mul(state.spec.weights[key.first], term);
     }
     f = field.add(f, term);
   }

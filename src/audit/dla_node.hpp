@@ -527,7 +527,10 @@ class DlaNode : public net::Node {
   std::map<SessionId, bn::BigUInt> sum_inputs_;
   struct SumState {
     SumSpec spec;
-    std::map<std::uint32_t, bn::BigUInt> shares_received;  // from index -> y
+    // (from index, sender) -> y; a key counts once its sender is
+    // spec.participants[from].
+    std::map<std::pair<std::uint32_t, net::NodeId>, bn::BigUInt>
+        shares_received;
     bool evaluated = false;
     std::vector<crypto::Share> evals;  // collector side
     bool reconstructed = false;

@@ -91,18 +91,13 @@ void TtpNode::handle_cmp_value(net::Transport& sim, const net::Message& msg) {
   // A value counts only from the participant at its index. Once the spec
   // is known that is checked here; earlier arrivals wait for maybe_finish.
   CmpState& state = cmp_[session];
-  if (state.have_spec && !from_participant(state.spec, index, msg.src)) {
+  if (state.have_spec &&
+      !from_participant(state.spec.participants, index, msg.src)) {
     ++detail::wire_reject_counters_mut().codec_rejects;
     return;
   }
   state.values[{index, msg.src}] = std::move(w);
   maybe_finish(sim, session);
-}
-
-bool TtpNode::from_participant(const CmpSpec& spec, std::uint32_t index,
-                               net::NodeId sender) {
-  return index < spec.participants.size() &&
-         spec.participants[index] == sender;
 }
 
 void TtpNode::maybe_finish(net::Transport& sim, SessionId session) {
@@ -112,7 +107,7 @@ void TtpNode::maybe_finish(net::Transport& sim, SessionId session) {
   if (!state.have_spec) return;
   const CmpSpec& spec = state.spec;
   const std::size_t refused = std::erase_if(state.values, [&](const auto& v) {
-    return !from_participant(spec, v.first.first, v.first.second);
+    return !from_participant(spec.participants, v.first.first, v.first.second);
   });
   detail::wire_reject_counters_mut().codec_rejects += refused;
   if (state.values.size() < spec.participants.size()) return;

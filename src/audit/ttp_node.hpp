@@ -60,9 +60,6 @@ class TtpNode : public net::Node {
   // parties correlated randomness (ra + rb = Ra.Rb) and step aside.
   void handle_scalar_init(net::Transport& sim, const net::Message& msg);
   void maybe_finish(net::Transport& sim, SessionId session);
-  // Whether `sender` is the participant at `index` of `spec`.
-  static bool from_participant(const CmpSpec& spec, std::uint32_t index,
-                               net::NodeId sender);
 
   struct CmpState {
     CmpSpec spec;          // transform-free

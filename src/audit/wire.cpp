@@ -20,6 +20,11 @@ std::vector<net::NodeId> decode_node_ids(net::Reader& r) {
   return r.vec<net::NodeId>([](net::Reader& in) { return in.u32(); });
 }
 
+bool from_participant(const std::vector<net::NodeId>& participants,
+                      std::uint32_t index, net::NodeId sender) {
+  return index < participants.size() && participants[index] == sender;
+}
+
 void SetSpec::encode(net::Writer& w) const {
   w.u64(session);
   w.u8(static_cast<std::uint8_t>(op));
@@ -56,6 +61,11 @@ SetChunkHeader SetChunkHeader::decode(net::Reader& r) {
   return h;
 }
 
+bool SumSpec::well_formed() const {
+  return threshold_k >= 1 && threshold_k <= participants.size() &&
+         (weights.empty() || weights.size() == participants.size());
+}
+
 void SumSpec::encode(net::Writer& w) const {
   w.u64(session);
   encode_node_ids(w, participants);
@@ -73,6 +83,8 @@ SumSpec SumSpec::decode(net::Reader& r) {
   s.collector = r.u32();
   s.observers = decode_node_ids(r);
   s.weights = decode_elements(r);
+  if (!s.well_formed())
+    throw net::CodecError("SumSpec: bad threshold or weight count");
   return s;
 }
 

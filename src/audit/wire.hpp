@@ -175,6 +175,10 @@ struct SumSpec {
   std::vector<net::NodeId> observers;
   std::vector<bn::BigUInt> weights;  // empty = unweighted
 
+  // Threshold in [1, n] and either no weights or one per participant.
+  // start_sum requires it; decode refuses a spec without it (CodecError).
+  bool well_formed() const;
+
   void encode(net::Writer& w) const;
   static SumSpec decode(net::Reader& r);
 };
@@ -245,5 +249,10 @@ std::vector<bn::BigUInt> decode_elements(net::Reader& r);
 
 void encode_node_ids(net::Writer& w, const std::vector<net::NodeId>& ids);
 std::vector<net::NodeId> decode_node_ids(net::Reader& r);
+
+// Whether `sender` is participants[index]: a per-index protocol value
+// (kCmpValue, kSumShare) counts only from the participant at its index.
+bool from_participant(const std::vector<net::NodeId>& participants,
+                      std::uint32_t index, net::NodeId sender);
 
 }  // namespace dla::audit

@@ -1,7 +1,9 @@
 #include "bignum/montgomery.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
+#include <utility>
 
 namespace dla::bn {
 
@@ -19,30 +21,164 @@ u64 neg_inverse_64(u64 m) {
   return ~inv + 1;  // -(m^-1)
 }
 
-// a >= b over fixed-width limb buffers.
-bool geq_raw(const u64* a, const u64* b, std::size_t n) {
-  for (std::size_t i = n; i-- > 0;) {
-    if (a[i] != b[i]) return a[i] > b[i];
-  }
-  return true;
-}
+// The widest modulus (in limbs) that gets a kernel with compile-time loop
+// bounds; wider moduli run the N = 0 instantiation, which reads the width
+// at run time and works in the caller's scratch.
+constexpr std::size_t kMaxFixedLimbs = 8;
 
-// a -= b (no underflow allowed).
-void sub_raw(u64* a, const u64* b, std::size_t n) {
-  u64 borrow = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    u128 rhs = static_cast<u128>(b[i]) + borrow;
-    if (static_cast<u128>(a[i]) >= rhs) {
-      a[i] = static_cast<u64>(static_cast<u128>(a[i]) - rhs);
-      borrow = 0;
-    } else {
-      a[i] = static_cast<u64>((static_cast<u128>(1) << 64) + a[i] - rhs);
-      borrow = 1;
+// Kernels templated on the limb count N. For N > 0 the width w is the
+// constant N in every loop bound (final_sub and reduce inline into their
+// callers) and the working product is a local array, so the unroll pragmas
+// flatten the loops and the product lives in registers; for N = 0 the same
+// source runs over the run-time width in `scratch` (scratch_limbs() = 2w + 1
+// covers every kernel). The kernels write `out` only after their last read
+// of the operands, so `out` may alias them.
+template <std::size_t N>
+struct Kernel {
+  // (top:t) < 2m reduced into out: t - m unless that borrows past `top`.
+  static void final_sub(const u64* t, u64 top, const u64* mod, std::size_t w,
+                        u64* out) {
+    u64 borrow = 0;
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < w; ++j) {
+      const u128 d = static_cast<u128>(t[j]) - mod[j] - borrow;
+      out[j] = static_cast<u64>(d);
+      borrow = static_cast<u64>(d >> 64) & 1;
     }
+    if (borrow > top) std::copy_n(t, w, out);  // t < m already
   }
+
+  // REDC of the 2w-limb t < m * R: one row per limb, each row's carry out of
+  // limb i + w is summed into a single top word instead of being propagated.
+  static void reduce(u64* t, const u64* mod, u64 n_prime, std::size_t w,
+                     u64* out) {
+    u64 top = 0;
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < w; ++i) {
+      const u64 m = t[i] * n_prime;
+      u64 carry = 0;
+#pragma GCC unroll 8
+      for (std::size_t j = 0; j < w; ++j) {
+        const u128 cur = static_cast<u128>(t[i + j]) +
+                         static_cast<u128>(m) * mod[j] + carry;
+        t[i + j] = static_cast<u64>(cur);
+        carry = static_cast<u64>(cur >> 64);
+      }
+      const u128 cur = static_cast<u128>(t[i + w]) + carry + top;
+      t[i + w] = static_cast<u64>(cur);
+      top = static_cast<u64>(cur >> 64);
+    }
+    final_sub(t + w, top, mod, w, out);
+  }
+
+  // CIOS: each row adds a[i] * b, then divides by 2^64 after adding the
+  // multiple of m that clears limb 0; t stays < 2m in w + 1 limbs.
+  static void mul(const u64* mod, u64 n_prime, std::size_t n, const u64* a,
+                  const u64* b, u64* out, u64* scratch) {
+    const std::size_t w = N ? N : n;
+    std::array<u64, N + 1> local{};
+    u64* t = N ? local.data() : scratch;
+    if constexpr (N == 0) std::fill_n(t, w + 1, 0);
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < w; ++i) {
+      const u128 ai = a[i];
+      u64 carry = 0;
+#pragma GCC unroll 8
+      for (std::size_t j = 0; j < w; ++j) {
+        const u128 cur = static_cast<u128>(t[j]) + ai * b[j] + carry;
+        t[j] = static_cast<u64>(cur);
+        carry = static_cast<u64>(cur >> 64);
+      }
+      u128 cur = static_cast<u128>(t[w]) + carry;
+      t[w] = static_cast<u64>(cur);
+      const u64 hi = static_cast<u64>(cur >> 64);
+
+      const u64 m = t[0] * n_prime;
+      cur = static_cast<u128>(t[0]) + static_cast<u128>(m) * mod[0];
+      carry = static_cast<u64>(cur >> 64);
+#pragma GCC unroll 8
+      for (std::size_t j = 1; j < w; ++j) {
+        cur = static_cast<u128>(t[j]) + static_cast<u128>(m) * mod[j] + carry;
+        t[j - 1] = static_cast<u64>(cur);
+        carry = static_cast<u64>(cur >> 64);
+      }
+      cur = static_cast<u128>(t[w]) + carry;
+      t[w - 1] = static_cast<u64>(cur);
+      t[w] = hi + static_cast<u64>(cur >> 64);
+    }
+    final_sub(t, t[w], mod, w, out);
+  }
+
+  // The cross terms a[i] * a[j] (i < j) once, doubled, plus the diagonal
+  // a[i]^2, then REDC.
+  static void sqr(const u64* mod, u64 n_prime, std::size_t n, const u64* a,
+                  u64* out, u64* scratch) {
+    const std::size_t w = N ? N : n;
+    std::array<u64, 2 * N> local{};
+    u64* t = N ? local.data() : scratch;
+    if constexpr (N == 0) std::fill_n(t, 2 * w, 0);
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i + 1 < w; ++i) {
+      const u128 ai = a[i];
+      u64 carry = 0;
+#pragma GCC unroll 8
+      for (std::size_t j = i + 1; j < w; ++j) {
+        const u128 cur = static_cast<u128>(t[i + j]) + ai * a[j] + carry;
+        t[i + j] = static_cast<u64>(cur);
+        carry = static_cast<u64>(cur >> 64);
+      }
+      t[i + w] = carry;
+    }
+    // a^2 < R^2, so the doubling never shifts a bit out of limb 2w - 1.
+    u64 bit = 0;
+#pragma GCC unroll 16
+    for (std::size_t k = 0; k < 2 * w; ++k) {
+      const u64 next = t[k] >> 63;
+      t[k] = (t[k] << 1) | bit;
+      bit = next;
+    }
+    u64 carry = 0;
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < w; ++i) {
+      const u128 sq = static_cast<u128>(a[i]) * a[i];
+      const u128 lo =
+          static_cast<u128>(t[2 * i]) + static_cast<u64>(sq) + carry;
+      t[2 * i] = static_cast<u64>(lo);
+      const u128 hi = static_cast<u128>(t[2 * i + 1]) +
+                      static_cast<u64>(sq >> 64) + static_cast<u64>(lo >> 64);
+      t[2 * i + 1] = static_cast<u64>(hi);
+      carry = static_cast<u64>(hi >> 64);
+    }
+    reduce(t, mod, n_prime, w, out);
+  }
+
+  static void redc(const u64* mod, u64 n_prime, std::size_t n, const u64* v,
+                   u64* out, u64* scratch) {
+    const std::size_t w = N ? N : n;
+    std::array<u64, 2 * N> local{};
+    u64* t = N ? local.data() : scratch;
+    if constexpr (N == 0) std::fill_n(t, 2 * w, 0);
+    std::copy_n(v, w, t);
+    reduce(t, mod, n_prime, w, out);
+  }
+};
+
+template <class Table, std::size_t... N>
+constexpr std::array<Table, sizeof...(N)> kernel_table(
+    std::index_sequence<N...>) {
+  return {{{&Kernel<N>::mul, &Kernel<N>::sqr, &Kernel<N>::redc}...}};
 }
 
 }  // namespace
+
+struct MontgomeryContext::Kernels {
+  void (*mul)(const u64* mod, u64 n_prime, std::size_t n, const u64* a,
+              const u64* b, u64* out, u64* scratch);
+  void (*sqr)(const u64* mod, u64 n_prime, std::size_t n, const u64* a,
+              u64* out, u64* scratch);
+  void (*redc)(const u64* mod, u64 n_prime, std::size_t n, const u64* v,
+               u64* out, u64* scratch);
+};
 
 MontgomeryContext::MontgomeryContext(BigUInt modulus)
     : modulus_(std::move(modulus)) {
@@ -51,6 +187,9 @@ MontgomeryContext::MontgomeryContext(BigUInt modulus)
   mod_limbs_ = modulus_.limbs();
   n_limbs_ = mod_limbs_.size();
   n_prime_ = neg_inverse_64(mod_limbs_[0]);
+  static constexpr auto kTable = kernel_table<Kernels>(
+      std::make_index_sequence<kMaxFixedLimbs + 1>{});
+  kernels_ = &kTable[n_limbs_ <= kMaxFixedLimbs ? n_limbs_ : 0];
 
   // R = 2^(64 * n); R^2 mod m and R mod m via generic arithmetic (setup
   // cost only).
@@ -64,80 +203,17 @@ MontgomeryContext::MontgomeryContext(BigUInt modulus)
 }
 
 void MontgomeryContext::mont_mul_raw(const u64* a, const u64* b, u64* out,
-                                     u64* t) const {
-  const std::size_t n = n_limbs_;
-  const u64* mod = mod_limbs_.data();
-  // Schoolbook product into t (2n limbs + carry guard limb) ...
-  std::fill_n(t, 2 * n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    u64 carry = 0;
-    u128 ai = a[i];
-    for (std::size_t j = 0; j < n; ++j) {
-      u128 cur = static_cast<u128>(t[i + j]) + ai * b[j] + carry;
-      t[i + j] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-    }
-    t[i + n] = carry;
-  }
-  redc_finish(t, out);
+                                     u64* scratch) const {
+  kernels_->mul(mod_limbs_.data(), n_prime_, n_limbs_, a, b, out, scratch);
 }
 
-void MontgomeryContext::mont_sqr_raw(const u64* a, u64* out, u64* t) const {
-  const std::size_t n = n_limbs_;
-  // Cross terms a[i]*a[j] for i < j, computed once ...
-  std::fill_n(t, 2 * n + 1, 0);
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    u64 carry = 0;
-    u128 ai = a[i];
-    for (std::size_t j = i + 1; j < n; ++j) {
-      u128 cur = static_cast<u128>(t[i + j]) + ai * a[j] + carry;
-      t[i + j] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-    }
-    t[i + n] = carry;
-  }
-  // ... doubled (a^2 < R^2, so the top bit never shifts out of limb 2n-1) ...
-  u64 bit = 0;
-  for (std::size_t k = 0; k < 2 * n; ++k) {
-    u64 next = t[k] >> 63;
-    t[k] = (t[k] << 1) | bit;
-    bit = next;
-  }
-  // ... plus the diagonal a[i]^2 terms.
-  u64 carry = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    u128 sq = static_cast<u128>(a[i]) * a[i];
-    u128 lo = static_cast<u128>(t[2 * i]) + static_cast<u64>(sq) + carry;
-    t[2 * i] = static_cast<u64>(lo);
-    u128 hi = static_cast<u128>(t[2 * i + 1]) + static_cast<u64>(sq >> 64) +
-              static_cast<u64>(lo >> 64);
-    t[2 * i + 1] = static_cast<u64>(hi);
-    carry = static_cast<u64>(hi >> 64);
-  }
-  redc_finish(t, out);
+void MontgomeryContext::mont_sqr_raw(const u64* a, u64* out,
+                                     u64* scratch) const {
+  kernels_->sqr(mod_limbs_.data(), n_prime_, n_limbs_, a, out, scratch);
 }
 
-void MontgomeryContext::redc_finish(u64* t, u64* out) const {
-  const std::size_t n = n_limbs_;
-  const u64* mod = mod_limbs_.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    u64 m = t[i] * n_prime_;
-    u64 carry = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      u128 cur = static_cast<u128>(t[i + j]) +
-                 static_cast<u128>(m) * mod[j] + carry;
-      t[i + j] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-    }
-    for (std::size_t j = i + n; carry != 0 && j < 2 * n + 1; ++j) {
-      u128 cur = static_cast<u128>(t[j]) + carry;
-      t[j] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-    }
-  }
-  const bool overflow = t[2 * n] != 0;
-  std::copy(t + n, t + 2 * n, out);
-  if (overflow || geq_raw(out, mod, n)) sub_raw(out, mod, n);
+void MontgomeryContext::redc_raw(const u64* v, u64* out, u64* scratch) const {
+  kernels_->redc(mod_limbs_.data(), n_prime_, n_limbs_, v, out, scratch);
 }
 
 void MontgomeryContext::to_mont_raw(const BigUInt& v, u64* out,
@@ -154,12 +230,6 @@ void MontgomeryContext::to_mont_raw(const BigUInt& v, u64* out,
     std::fill(out + limbs.size(), out + n_limbs_, 0);
   }
   mont_mul_raw(out, r2_.data(), out, scratch);
-}
-
-void MontgomeryContext::redc_raw(const u64* v, u64* out, u64* t) const {
-  std::copy_n(v, n_limbs_, t);
-  std::fill(t + n_limbs_, t + 2 * n_limbs_ + 1, 0);
-  redc_finish(t, out);
 }
 
 MontgomeryContext::Limbs MontgomeryContext::mont_mul(const Limbs& a,

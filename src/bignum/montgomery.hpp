@@ -11,8 +11,20 @@
 //     substrate of crypto::ModExpEngine's batched fixed-exponent kernel.
 // BigUInt::modexp remains the generic (odd or even modulus) path;
 // MontgomeryContext::pow is the fast path used by the crypto layer when the
-// modulus is odd — 2-4x faster at the 256-512 bit sizes used here (see
-// bench_set_intersection's BM_PohligHellmanEncrypt counters).
+// modulus is odd (see bench_set_intersection's BM_PohligHellmanEncrypt).
+//
+// The raw multiply, square and REDC come from one kernel source templated
+// on the limb count N. N = 1..8 (64- to 512-bit moduli, every modulus the
+// repository builds) get compile-time loop bounds and a local product, so
+// the compiler unrolls them and keeps the product in registers; the N = 0
+// instantiation reads the width at run time, works in the caller's scratch
+// and serves wider moduli. The constructor picks the kernels once from the
+// modulus' limb count, so no raw operation branches on the width. The
+// multiply is CIOS (product and reduction interleaved per limb); the square
+// computes the cross terms once, doubles them, adds the diagonal and then
+// runs REDC. A fully reduced Montgomery product is unique, so every width
+// gives bit-identical results. Measured on an x86-64 Xeon (GCC 12.2, -O2),
+// a square costs 1.0x a multiply at 256 bits and 0.8x at 512 and 1024 bits.
 #pragma once
 
 #include <cstdint>
@@ -56,8 +68,8 @@ class MontgomeryContext {
   void mont_mul_raw(const std::uint64_t* a, const std::uint64_t* b,
                     std::uint64_t* out, std::uint64_t* scratch) const;
   // out = a^2 * R^-1 mod m: the cross terms are computed once and doubled,
-  // ~35% fewer limb multiplies than mont_mul_raw(a, a, ...). Exponentiation
-  // is squaring-dominated, so this is the kernel's hottest path.
+  // so the product takes n(n+1)/2 limb multiplies instead of n^2.
+  // Exponentiation is squaring-dominated, so this is the hottest kernel.
   void mont_sqr_raw(const std::uint64_t* a, std::uint64_t* out,
                     std::uint64_t* scratch) const;
   // Writes v * R mod m into `out` (to_mont without the vector return).
@@ -70,10 +82,13 @@ class MontgomeryContext {
                 std::uint64_t* scratch) const;
 
  private:
-  Limbs mont_mul(const Limbs& a, const Limbs& b) const;
-  // REDC + final conditional subtract over the 2n+1-limb product in t.
-  void redc_finish(std::uint64_t* t, std::uint64_t* out) const;
+  // Function pointers to the multiply, square and REDC kernels for one limb
+  // count; defined in montgomery.cpp.
+  struct Kernels;
 
+  Limbs mont_mul(const Limbs& a, const Limbs& b) const;
+
+  const Kernels* kernels_ = nullptr;  // chosen once, by the constructor
   BigUInt modulus_;
   std::size_t n_limbs_ = 0;
   std::uint64_t n_prime_ = 0;  // -m^-1 mod 2^64

@@ -73,7 +73,8 @@ TEST(Montgomery, FermatHolds) {
 
 TEST(Montgomery, WorksAcrossModulusWidths) {
   ChaCha20Rng rng(4);
-  for (std::size_t bits : {17u, 64u, 65u, 128u, 192u, 384u, 512u}) {
+  for (std::size_t bits : {17u, 64u, 65u, 128u, 192u, 384u, 512u, 576u,
+                           1024u}) {
     BigUInt m = generate_prime(rng, bits, 12);
     MontgomeryContext ctx(m);
     for (int i = 0; i < 8; ++i) {
@@ -81,6 +82,64 @@ TEST(Montgomery, WorksAcrossModulusWidths) {
       BigUInt e = BigUInt::random_bits(rng, 1 + rng.next_below(bits));
       ASSERT_EQ(ctx.pow(a, e), BigUInt::modexp(a, e, m))
           << bits << "-bit modulus";
+    }
+  }
+}
+
+// The raw kernels at every limb count, both the fixed-width ones (1..8
+// limbs) and the run-time-width one (9 and 10), against BigUInt::mulmod. Each
+// modulus is either all ones (m = R - 1) or a random odd value whose top bit
+// is clear. A raw result `out` must be fully reduced and satisfy
+// out * R == expected (mod m).
+TEST(Montgomery, RawKernelsMatchGenericAtEveryLimbCount) {
+  using Limbs = MontgomeryContext::Limbs;
+  ChaCha20Rng rng(6);
+  for (std::size_t k = 1; k <= 10; ++k) {
+    const BigUInt r = BigUInt(1) << (64 * k);
+    BigUInt odd = BigUInt::random_bits(rng, 64 * k - 1);
+    if (odd.is_even()) odd += BigUInt(1);
+    for (const BigUInt& m : {r - BigUInt(1), odd}) {
+      MontgomeryContext ctx(m);
+      ASSERT_EQ(ctx.limb_count(), k);
+      const BigUInt r_mod = r % m;
+      auto raw = [k](const BigUInt& v) {
+        Limbs limbs = v.limbs();
+        limbs.resize(k, 0);
+        return limbs;
+      };
+      auto check = [&](const Limbs& out, const BigUInt& expected,
+                       const char* what) {
+        const BigUInt v = BigUInt::from_limbs(out);
+        EXPECT_LT(v, m) << what << ", " << k << " limbs";
+        EXPECT_EQ(BigUInt::mulmod(v, r_mod, m), expected)
+            << what << ", " << k << " limbs, m = " << m.to_hex();
+      };
+      std::vector<BigUInt> values = {BigUInt{}, BigUInt(1), m - BigUInt(1)};
+      for (int i = 0; i < 5; ++i) {
+        values.push_back(BigUInt::random_below(rng, m));
+      }
+      std::vector<std::uint64_t> scratch(ctx.scratch_limbs());
+      for (const BigUInt& a : values) {
+        for (const BigUInt& b : values) {
+          const BigUInt ab = BigUInt::mulmod(a, b, m);
+          Limbs x = raw(a);
+          Limbs y = raw(b);
+          ctx.mont_mul_raw(x.data(), y.data(), x.data(), scratch.data());
+          check(x, ab, "mul, out aliases a");
+          x = raw(a);
+          ctx.mont_mul_raw(x.data(), y.data(), y.data(), scratch.data());
+          check(y, ab, "mul, out aliases b");
+        }
+        Limbs x = raw(a);
+        ctx.mont_sqr_raw(x.data(), x.data(), scratch.data());
+        check(x, BigUInt::mulmod(a, a, m), "sqr");
+        x = raw(a);
+        ctx.redc_raw(x.data(), x.data(), scratch.data());
+        check(x, a, "redc");
+        EXPECT_EQ(BigUInt::from_limbs(ctx.to_mont(a)),
+                  BigUInt::mulmod(a, r_mod, m));
+        EXPECT_EQ(ctx.from_mont(ctx.to_mont(a)), a);
+      }
     }
   }
 }

@@ -350,6 +350,95 @@ TEST_F(ProtocolFixture, SecureSumRejectsBadSpecs) {
                std::invalid_argument);
 }
 
+// Secure-sum frames as a hostile peer could send them, bypassing
+// start_sum's local checks.
+struct SumWireFixture : ProtocolFixture {
+  SumWireFixture() {
+    spec.participants = cluster.config()->dla_nodes;
+    spec.threshold_k = 2;
+    spec.collector = spec.participants[0];
+    spec.observers = {spec.participants[0]};
+    cluster.dla(0).on_sum_result = [this](SessionId, bn::BigUInt v) {
+      result = std::move(v);
+    };
+    reset_wire_reject_counters();
+  }
+  void send_start(net::NodeId to) {
+    net::Writer w;
+    spec.encode(w);
+    cluster.sim().send(spec.participants[0], to, kSumStart,
+                       std::move(w).take());
+  }
+  void send_share(net::NodeId from_node, net::NodeId to, std::uint32_t from) {
+    net::Writer w;
+    w.u64(spec.session);
+    w.u32(from);
+    w.big(bn::BigUInt(1000));
+    cluster.sim().send(from_node, to, kSumShare, std::move(w).take());
+  }
+  std::size_t residue() {
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < 4; ++i) {
+      total += cluster.dla(i).session_residue();
+    }
+    return total;
+  }
+  SumSpec spec;
+  std::optional<bn::BigUInt> result;
+};
+
+TEST_F(SumWireFixture, SpecWithThresholdOutsideOneToNIsRefused) {
+  spec.session = 14;
+  for (std::uint32_t k : {0u, 9u}) {
+    spec.threshold_k = k;
+    send_start(spec.participants[1]);
+    EXPECT_NO_THROW(cluster.run());
+  }
+  EXPECT_EQ(wire_reject_counters().codec_rejects, 2u);
+  EXPECT_EQ(residue(), 0u);
+  EXPECT_FALSE(result.has_value());
+}
+
+TEST_F(SumWireFixture, SpecWithOneWeightForFourParticipantsIsRefused) {
+  spec.session = 15;
+  spec.weights = {bn::BigUInt(3)};
+  for (net::NodeId p : spec.participants) send_start(p);
+  EXPECT_NO_THROW(cluster.run());
+  EXPECT_EQ(wire_reject_counters().codec_rejects, 4u);
+  EXPECT_EQ(residue(), 0u);
+  EXPECT_FALSE(result.has_value());
+}
+
+TEST_F(SumWireFixture, ForgedSharesCannotCompleteTheSum) {
+  spec.session = 16;
+  spec.observers = spec.participants;  // every node retires its sum state
+  const std::uint64_t values[] = {10, 20, 30, 40};
+  for (std::size_t i = 0; i < 4; ++i) {
+    cluster.dla(i).stage_sum_input(spec.session, bn::BigUInt(values[i]));
+  }
+  // Before the spec: indices past the participants, and P0's index sent by
+  // P3. Each would otherwise count toward a node's n shares.
+  const net::NodeId forger = spec.participants[3];
+  for (net::NodeId to : spec.participants) {
+    for (std::uint32_t from : {5u, 6u, 7u}) send_share(forger, to, from);
+  }
+  send_share(forger, spec.participants[1], 0);
+  cluster.run();
+  // After the spec reached P0..P2 but not P3: each waits for P3's share, so
+  // a forged one is refused on arrival.
+  for (std::size_t i = 0; i < 3; ++i) send_start(spec.participants[i]);
+  cluster.run();
+  send_share(spec.participants[1], spec.participants[2], 3);
+  cluster.run();
+  EXPECT_FALSE(result.has_value());
+  send_start(spec.participants[3]);
+  EXPECT_NO_THROW(cluster.run());
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(*result, bn::BigUInt(10 + 20 + 30 + 40));
+  EXPECT_EQ(wire_reject_counters().codec_rejects, 3u * 4u + 1u + 1u);
+  EXPECT_EQ(residue(), 0u);
+}
+
 // --------------------------------------------- blind-TTP comparisons --
 
 TEST_F(ProtocolFixture, SecureEqualityEqual) {

@@ -184,6 +184,64 @@ TEST_F(RingChunkFrames, OutOfRangeHopsInRingFrameIsRejected) {
   EXPECT_EQ(cluster.dla(1).session_residue(), 0u);
 }
 
+// Elements outside [1, p-1] are not ciphertexts: PhKey throws on them, so
+// each ring handler must refuse the frame before any session state exists.
+
+TEST_F(RingChunkFrames, ZeroElementInRingFrameIsRejected) {
+  SetSpec spec = make_spec(37);
+  net::Writer w;
+  spec.encode(w);
+  SetChunkHeader{0, kRingEncrypt, 0, 1}.encode(w);
+  w.u32(1);  // hops
+  encode_elements(w, {bn::BigUInt{}});
+  cluster.sim().send(cluster.config()->dla_nodes[0],
+                     cluster.config()->dla_nodes[1], kSetRing,
+                     std::move(w).take());
+  EXPECT_NO_THROW(cluster.run());
+  EXPECT_EQ(cluster.dla(1).set_ring_rejects(), 1u);
+  EXPECT_EQ(cluster.dla(1).session_residue(), 0u);  // no session key minted
+}
+
+TEST_F(RingChunkFrames, ModulusElementInDecryptFrameIsRejected) {
+  SetSpec spec = make_spec(38);
+  spec.collector = cluster.config()->dla_nodes[3];  // keep P0's residue its own
+  const net::NodeId p0 = spec.participants[0];
+  auto send = [&](std::uint32_t type, std::uint32_t ring_id,
+                  std::uint32_t hops, std::vector<bn::BigUInt> elements) {
+    net::Writer w;
+    spec.encode(w);
+    SetChunkHeader{0, ring_id, 0, 1}.encode(w);
+    w.u32(hops);
+    encode_elements(w, elements);
+    cluster.sim().send(spec.participants[2], p0, type, std::move(w).take());
+    EXPECT_NO_THROW(cluster.run());
+  };
+  // A valid last ring hop gives P0 its session key.
+  send(kSetRing, kRingEncrypt, 2, one_element());
+  ASSERT_EQ(cluster.dla(0).set_ring_rejects(), 0u);
+  send(kSetDecrypt, kRingDecrypt, 0, {cluster.config()->ph_domain.p});
+  EXPECT_EQ(cluster.dla(0).set_ring_rejects(), 1u);
+  // The refused frame left the chunk unseen: the real one still strips
+  // P0's layer and retires its key.
+  send(kSetDecrypt, kRingDecrypt, 0, one_element());
+  EXPECT_EQ(cluster.dla(0).set_ring_rejects(), 1u);
+  EXPECT_EQ(cluster.dla(0).session_residue(), 0u);
+}
+
+TEST_F(RingChunkFrames, OutOfGroupElementInFullFrameIsRejected) {
+  SetSpec spec = make_spec(39);
+  net::Writer w;
+  spec.encode(w);
+  SetChunkHeader{0, kRingEncrypt, 0, 1}.encode(w);
+  encode_elements(w, {cluster.config()->ph_domain.p + bn::BigUInt(1)});
+  cluster.sim().send(cluster.config()->dla_nodes[2],
+                     cluster.config()->dla_nodes[0], kSetFull,
+                     std::move(w).take());
+  EXPECT_NO_THROW(cluster.run());
+  EXPECT_EQ(cluster.dla(0).set_ring_rejects(), 1u);
+  EXPECT_EQ(cluster.dla(0).session_residue(), 0u);  // no collect entry
+}
+
 TEST_F(RingChunkFrames, InvalidChunkShapeIsRejected) {
   SetSpec spec = make_spec(34);
   // n_chunks == 0 (invalid stream length)
