@@ -2,10 +2,12 @@
 // sequencing + fragmentation + accumulator deposit, across cluster sizes,
 // against the centralized repository of Figure 1.
 //
-// Expected shape: the DLA path pays ~(3n + majority-round) messages and one
-// accumulator fold per record, so per-record cost grows linearly with n;
-// the centralized baseline is a single message and wins raw throughput —
-// the price of zero store confidentiality.
+// Expected shape: the DLA path pays 4n + 4 messages per record (request,
+// forward, n proposals, n votes, two replies, then per node one upload that
+// carries the accumulator deposit and one ack) and one accumulator fold, so
+// per-record cost grows linearly with n; the centralized baseline is a
+// single message and wins raw throughput — the price of zero store
+// confidentiality.
 #include <benchmark/benchmark.h>
 
 #include "audit/cluster.hpp"

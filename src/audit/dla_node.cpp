@@ -112,10 +112,8 @@ void DlaNode::dispatch(net::Transport& sim, const net::Message& msg) {
     case kGlsnForward: return handle_glsn_forward(sim, msg);
     case kGlsnPropose: return handle_glsn_propose(sim, msg);
     case kGlsnVote: return handle_glsn_vote(sim, msg);
-    case kGlsnCommit: return handle_glsn_commit(sim, msg);
     case kGlsnReply: return handle_glsn_reply(sim, msg);
     case kLogFragment: return handle_log_fragment(sim, msg);
-    case kAccumDeposit: return handle_accum_deposit(sim, msg);
     case kFragmentRequest: return handle_fragment_request(sim, msg);
     case kFragmentDelete: return handle_fragment_delete(sim, msg);
     case kSetStart: return handle_set_start(sim, msg);
@@ -241,18 +239,11 @@ void DlaNode::on_timer(net::Transport& sim, std::uint64_t timer_id) {
   std::uint64_t gid = it->second;
   timer_to_gid_.erase(it);
   auto pending = pending_glsn_.find(gid);
-  if (pending == pending_glsn_.end() || pending->second.done) return;
+  if (pending == pending_glsn_.end()) return;
   // Leader unresponsive: retry against the next cluster member.
   pending->second.leader_attempt =
       (pending->second.leader_attempt + 1) % cfg_->cluster_size();
-  net::NodeId leader = cfg_->dla_nodes[pending->second.leader_attempt];
-  net::Writer w;
-  w.u64(gid);
-  w.u32(pending->second.user);
-  w.u32(id());
-  send_payload(sim, id(), leader, kGlsnForward, std::move(w));
-  pending->second.timer = sim.set_timer(id(), kGlsnTimeout);
-  timer_to_gid_[pending->second.timer] = gid;
+  forward_glsn(sim, gid);
 }
 
 // ==================================================== glsn sequencing ======
@@ -274,38 +265,37 @@ void DlaNode::handle_glsn_request(net::Transport& sim,
   // sequence number. In flight -> drop (the original reply is coming);
   // already served -> replay the remembered reply.
   const std::pair<net::NodeId, std::uint64_t> journal_key{msg.src, reqid};
-  if (const GlsnServed* served = glsn_request_journal_.find(journal_key)) {
+  if (const logm::Glsn* served = glsn_request_journal_.find(journal_key)) {
     ++replay_drops_;
-    if (served->done) {
+    if (*served != 0) {
       net::Writer w;
       w.u64(reqid);
-      w.u64(served->glsn);
+      w.u64(*served);
       send_payload(sim, id(), msg.src, kGlsnReply, std::move(w));
     }
     return;
   }
   std::uint64_t gid = (static_cast<std::uint64_t>(id()) << 40) | next_gid_++;
-  glsn_request_journal_.insert(journal_key, GlsnServed{gid, 0, false});
-  PendingGlsn pending;
-  pending.user = msg.src;
-  pending.user_reqid = reqid;
-  pending.leader_attempt = 0;
-  pending_glsn_[gid] = pending;
+  glsn_request_journal_.insert(journal_key, 0);
+  pending_glsn_[gid] = PendingGlsn{msg.src, reqid};
+  forward_glsn(sim, gid);
+}
+
+void DlaNode::forward_glsn(net::Transport& sim, std::uint64_t gid) {
+  PendingGlsn& pending = pending_glsn_.at(gid);
   net::Writer w;
   w.u64(gid);
-  w.u32(msg.src);
   w.u32(id());
-  send_payload(sim, id(), cfg_->dla_nodes[0], kGlsnForward, std::move(w));
-  auto timer = sim.set_timer(id(), kGlsnTimeout);
-  pending_glsn_[gid].timer = timer;
-  timer_to_gid_[timer] = gid;
+  send_payload(sim, id(), cfg_->dla_nodes[pending.leader_attempt],
+               kGlsnForward, std::move(w));
+  pending.timer = sim.set_timer(id(), kGlsnTimeout);
+  timer_to_gid_[pending.timer] = gid;
 }
 
 void DlaNode::handle_glsn_forward(net::Transport& sim,
                                   const net::Message& msg) {
   net::Reader r(msg.payload);
   std::uint64_t reqid = r.u64();
-  r.u32();  // user id (carried for diagnostics; reply goes via gateway)
   net::NodeId gateway = r.u32();
   r.expect_end();
 
@@ -324,20 +314,26 @@ void DlaNode::handle_glsn_forward(net::Transport& sim,
     return;
   }
   forwards_in_flight_.insert(reqid);
+  // Act as leader, above every value this node proposed or promised: a
+  // failover leader's own counter lags what the old leader got promised.
+  propose_glsn(sim, last_promised_, gateway, reqid);
+}
 
-  // Act as leader: propose counter+1 to every replica.
-  logm::Glsn proposal = std::max(glsn_counter_, last_promised_) + 1;
+void DlaNode::propose_glsn(net::Transport& sim, logm::Glsn floor,
+                           net::NodeId reply_to, std::uint64_t reqid) {
+  // The counter moves at proposal time, so a forward that arrives before
+  // this round's votes gets the next value instead of a duplicate proposal.
+  glsn_counter_ = std::max(glsn_counter_, floor) + 1;
   std::uint64_t proposal_id =
       (static_cast<std::uint64_t>(id()) << 40) | next_proposal_id_++;
-  GlsnRound round;
-  round.proposal = proposal;
-  round.reply_to = gateway;
+  GlsnRound& round = glsn_rounds_[proposal_id];
+  round.proposal = glsn_counter_;
+  round.reply_to = reply_to;
   round.reqid = reqid;
-  glsn_rounds_[proposal_id] = round;
   for (net::NodeId replica : cfg_->dla_nodes) {
     net::Writer w;
     w.u64(proposal_id);
-    w.u64(proposal);
+    w.u64(glsn_counter_);
     send_payload(sim, id(), replica, kGlsnPropose, std::move(w));
   }
 }
@@ -372,7 +368,7 @@ void DlaNode::handle_glsn_vote(net::Transport& sim, const net::Message& msg) {
   logm::Glsn hint = r.u64();
   r.expect_end();
   auto it = glsn_rounds_.find(proposal_id);
-  if (it == glsn_rounds_.end() || it->second.done) return;
+  if (it == glsn_rounds_.end()) return;
   GlsnRound& round = it->second;
   if (!round.voters.insert(msg.src).second) {
     ++replay_drops_;  // duplicate vote from the same replica
@@ -385,14 +381,11 @@ void DlaNode::handle_glsn_vote(net::Transport& sim, const net::Message& msg) {
     round.highest_hint = std::max(round.highest_hint, hint);
   }
   if (round.accepts >= cfg_->majority()) {
-    glsn_counter_ = std::max(glsn_counter_, round.proposal);
+    // A majority promised this value, and any later majority shares a
+    // replica with it, so no proposal at or below it can win again: the
+    // replicas need no commit message to keep glsns unique.
     forwards_in_flight_.erase(round.reqid);
     forward_journal_.insert(round.reqid, round.proposal);
-    for (net::NodeId replica : cfg_->dla_nodes) {
-      net::Writer w;
-      w.u64(round.proposal);
-      send_payload(sim, id(), replica, kGlsnCommit, std::move(w));
-    }
     net::Writer w;
     w.u64(round.reqid);
     w.u64(round.proposal);
@@ -405,31 +398,12 @@ void DlaNode::handle_glsn_vote(net::Transport& sim, const net::Message& msg) {
     // Contention (reject majority), or every replica answered without a
     // majority either way (split vote under concurrent leaders): retry
     // with a proposal above every hint we saw instead of wedging the round.
-    logm::Glsn retry = std::max(round.highest_hint, round.proposal) + 1;
-    net::NodeId reply_to = round.reply_to;
-    std::uint64_t reqid = round.reqid;
+    const logm::Glsn floor = std::max(round.highest_hint, round.proposal);
+    const net::NodeId reply_to = round.reply_to;
+    const std::uint64_t reqid = round.reqid;
     glsn_rounds_.erase(it);
-    std::uint64_t new_id =
-        (static_cast<std::uint64_t>(id()) << 40) | next_proposal_id_++;
-    GlsnRound fresh;
-    fresh.proposal = retry;
-    fresh.reply_to = reply_to;
-    fresh.reqid = reqid;
-    glsn_rounds_[new_id] = fresh;
-    for (net::NodeId replica : cfg_->dla_nodes) {
-      net::Writer w;
-      w.u64(new_id);
-      w.u64(retry);
-      send_payload(sim, id(), replica, kGlsnPropose, std::move(w));
-    }
+    propose_glsn(sim, floor, reply_to, reqid);
   }
-}
-
-void DlaNode::handle_glsn_commit(net::Transport&, const net::Message& msg) {
-  net::Reader r(msg.payload);
-  logm::Glsn glsn = r.u64();
-  r.expect_end();
-  glsn_counter_ = std::max(glsn_counter_, glsn);
 }
 
 void DlaNode::handle_glsn_reply(net::Transport& sim, const net::Message& msg) {
@@ -440,13 +414,12 @@ void DlaNode::handle_glsn_reply(net::Transport& sim, const net::Message& msg) {
   logm::Glsn glsn = r.u64();
   r.expect_end();
   auto it = pending_glsn_.find(gid);
-  if (it == pending_glsn_.end() || it->second.done) return;
-  it->second.done = true;
+  if (it == pending_glsn_.end()) return;
   sim.cancel_timer(it->second.timer);
   timer_to_gid_.erase(it->second.timer);
-  if (GlsnServed* served = glsn_request_journal_.find(
+  if (logm::Glsn* served = glsn_request_journal_.find(
           {it->second.user, it->second.user_reqid})) {
-    *served = GlsnServed{0, glsn, true};
+    *served = glsn;
   }
   net::Writer w;
   w.u64(it->second.user_reqid);
@@ -466,14 +439,30 @@ void DlaNode::handle_log_fragment(net::Transport& sim,
   // Copy sequence number, echoed in the ack so the user can tell a
   // duplicated ack from a distinct copy's ack.
   std::uint32_t copy_seq = r.u32();
+  // The record's accumulator digest (Section 4.1). Every node receives one
+  // upload per write, empty fragments included, so every node gets it.
+  bn::BigUInt deposit = r.big();
   r.expect_end();
-  // A Write ticket does not vouch for the bytes: refuse values outside the
-  // schema before they reach the store and its indexes.
+  const logm::Glsn glsn = fragment.glsn;
+  // Tombstone: glsns are never reused, so an upload for a deleted glsn is a
+  // late duplicate or a replay and must not resurrect the record.
+  if (deleted_glsns_.contains(glsn)) {
+    ++replay_drops_;
+    return;
+  }
+  // A Write ticket vouches neither for the bytes nor for someone else's
+  // record: refuse values outside the schema before they reach the store
+  // and its indexes, and refuse a glsn this node already holds unless this
+  // ticket stored it. Both stores count, or a replica-flagged upload would
+  // earn the ACL entry that unlocks the primary copy. The owner's own
+  // duplicates stay idempotent.
+  const bool held = engine_->contains(glsn) || replica_engine_->contains(glsn);
   bool ok = tickets_->authorizes(ticket, logm::Op::Write, sim.now()) &&
-            cfg_->schema.admits(fragment.attrs);
-  logm::Glsn glsn = fragment.glsn;
+            cfg_->schema.admits(fragment.attrs) &&
+            (!held || acl_.allowed(ticket.id, logm::Op::Write, glsn));
   if (ok) {
     (is_replica ? *replica_engine_ : *engine_).put(std::move(fragment));
+    deposits_[glsn] = std::move(deposit);
     acl_.grant(ticket.id, ticket.ops);
     acl_.authorize(ticket.id, glsn);
   }
@@ -482,22 +471,6 @@ void DlaNode::handle_log_fragment(net::Transport& sim,
   w.boolean(ok);
   w.u32(copy_seq);
   send_payload(sim, id(), msg.src, kLogAck, std::move(w));
-}
-
-void DlaNode::handle_accum_deposit(net::Transport&, const net::Message& msg) {
-  net::Reader r(msg.payload);
-  logm::Glsn glsn = r.u64();
-  bn::BigUInt value = r.big();
-  r.expect_end();
-  // At-least-once guard: glsns are never reused, so a deposit for a glsn
-  // this node already deleted is a late duplicate from before the delete —
-  // accepting it would resurrect the accumulator entry for a record that no
-  // longer exists and fail the next integrity circulation.
-  if (deleted_glsns_.contains(glsn)) {
-    ++replay_drops_;
-    return;
-  }
-  deposits_[glsn] = std::move(value);
 }
 
 void DlaNode::handle_fragment_request(net::Transport& sim,
@@ -548,8 +521,8 @@ void DlaNode::handle_fragment_delete(net::Transport& sim,
       replica_engine_->erase(glsn);
       acl_.revoke(ticket.id, glsn);
       deposits_.erase(glsn);
-      // Tombstone: a late duplicate of the original kAccumDeposit must not
-      // resurrect the erased accumulator entry (see handle_accum_deposit).
+      // Tombstone: a late duplicate of the original upload must not
+      // resurrect the record (see handle_log_fragment).
       deleted_glsns_.insert(glsn);
     }
     delete_journal_.insert(journal_key, ok);

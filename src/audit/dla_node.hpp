@@ -236,10 +236,13 @@ class DlaNode : public net::Node {
   void handle_glsn_forward(net::Transport& sim, const net::Message& msg);
   void handle_glsn_propose(net::Transport& sim, const net::Message& msg);
   void handle_glsn_vote(net::Transport& sim, const net::Message& msg);
-  void handle_glsn_commit(net::Transport& sim, const net::Message& msg);
+  // Gateway: sends request `gid` to its current leader and arms failover.
+  void forward_glsn(net::Transport& sim, std::uint64_t gid);
+  // Leader: proposes max(glsn_counter_, floor) + 1 to every replica.
+  void propose_glsn(net::Transport& sim, logm::Glsn floor,
+                    net::NodeId reply_to, std::uint64_t reqid);
   void handle_glsn_reply(net::Transport& sim, const net::Message& msg);
   void handle_log_fragment(net::Transport& sim, const net::Message& msg);
-  void handle_accum_deposit(net::Transport& sim, const net::Message& msg);
   void handle_fragment_request(net::Transport& sim, const net::Message& msg);
   void handle_fragment_delete(net::Transport& sim, const net::Message& msg);
   void dispatch(net::Transport& sim, const net::Message& msg);
@@ -405,8 +408,9 @@ class DlaNode : public net::Node {
   std::uint64_t heartbeat_timer_ = 0;
   std::map<std::size_t, net::SimTime> last_heartbeat_;  // peer index -> time
 
-  // glsn sequencing state.
-  logm::Glsn glsn_counter_ = 0x139aef77;  // next assigned is counter+1
+  // glsn sequencing state. Only a proposing node moves glsn_counter_: it
+  // holds the highest value this node ever proposed (next is counter+1).
+  logm::Glsn glsn_counter_ = 0x139aef77;
   logm::Glsn last_promised_ = 0;
   struct GlsnRound {
     logm::Glsn proposal = 0;
@@ -416,7 +420,6 @@ class DlaNode : public net::Node {
     net::NodeId reply_to = 0;   // gateway that forwarded
     std::uint64_t reqid = 0;
     std::set<net::NodeId> voters;  // replicas counted (duplicate votes drop)
-    bool done = false;
   };
   std::map<std::uint64_t, GlsnRound> glsn_rounds_;  // key: proposal id
   std::uint64_t next_proposal_id_ = 1;
@@ -427,7 +430,6 @@ class DlaNode : public net::Node {
     std::uint64_t user_reqid = 0;
     std::size_t leader_attempt = 0;
     std::uint64_t timer = 0;
-    bool done = false;
   };
   std::map<std::uint64_t, PendingGlsn> pending_glsn_;  // by gateway id
   std::map<std::uint64_t, std::uint64_t> timer_to_gid_;
@@ -436,13 +438,9 @@ class DlaNode : public net::Node {
   // At-least-once journals: a duplicated kGlsnRequest / kGlsnForward must
   // not burn a fresh sequence number (that would shift every later glsn
   // against a fault-free run); instead the remembered reply is replayed.
-  struct GlsnServed {
-    std::uint64_t gid = 0;     // in-flight gateway id; 0 once done
-    logm::Glsn glsn = 0;       // assigned glsn once done
-    bool done = false;
-  };
-  BoundedJournal<std::pair<net::NodeId, std::uint64_t>, GlsnServed>
-      glsn_request_journal_;                          // gateway: (user, reqid)
+  // Gateway: (user, reqid) -> assigned glsn, 0 while still in flight.
+  BoundedJournal<std::pair<net::NodeId, std::uint64_t>, logm::Glsn>
+      glsn_request_journal_;
   std::set<std::uint64_t> forwards_in_flight_;        // leader: gid -> round open
   BoundedJournal<std::uint64_t, logm::Glsn>
       forward_journal_;  // leader: gid -> glsn
@@ -468,8 +466,8 @@ class DlaNode : public net::Node {
   BoundedJournal<std::pair<net::NodeId, std::uint64_t>, UserReply>
       user_reply_journal_;
   std::set<std::pair<net::NodeId, std::uint64_t>> user_queries_in_flight_;
-  // Owner: glsns whose fragment was deleted; late kAccumDeposit duplicates
-  // for them must not resurrect the accumulator entry.
+  // Owner: glsns whose fragment was deleted; a late or replayed kLogFragment
+  // for one must not resurrect the fragment, its ACL entry or its deposit.
   ReplayGuard deleted_glsns_;
 
   // periodic self-audit state.

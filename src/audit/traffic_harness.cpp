@@ -31,12 +31,10 @@ std::string_view classify_message(MsgType type) {
     case kGlsnForward:
     case kGlsnPropose:
     case kGlsnVote:
-    case kGlsnCommit:
     case kGlsnReply:
       return "sequencing";
     case kLogFragment:
     case kLogAck:
-    case kAccumDeposit:
     case kFragmentRequest:
     case kFragmentReply:
     case kFragmentDelete:

@@ -51,20 +51,23 @@ void UserNode::handle_glsn_reply(net::Transport& sim,
     return;
   }
   // Duplicate reply for a request whose fragments are already in flight:
-  // re-sending them would double every ack and deposit.
+  // re-sending them would double every upload and ack.
   if (pending.glsn != 0) return;
   pending.glsn = glsn;
   glsn_to_reqid_[glsn] = reqid;
 
   // Fragment the record per the cluster's attribute partition and ship
-  // fragment i to P_i; also deposit the accumulator digest with every node
-  // so any of them can later initiate the integrity circulation.
+  // fragment i to P_i. Each upload carries the accumulator digest, and the
+  // partition yields one fragment per node (empty ones included), so every
+  // node gets the deposit and any of them can later initiate the integrity
+  // circulation.
   logm::LogRecord record;
   record.glsn = glsn;
   record.attrs = pending.attrs;
   auto fragments = cfg_->partition.fragment(record);
   crypto::Accumulator acc(cfg_->accum_params);
   for (const auto& frag : fragments) acc.add(frag.canonical());
+  const bn::BigUInt deposit = acc.value();
 
   // Fragment i goes to its primary P_i plus the next replication-1 ring
   // successors (replica copies keep queries available across a crash).
@@ -77,15 +80,10 @@ void UserNode::handle_glsn_reply(net::Transport& sim,
       fragments[i].encode(w);
       // Copy sequence number, echoed in the ack for duplicate detection.
       w.u32(static_cast<std::uint32_t>(i * copies + r));
+      w.big(deposit);
       sim.send(id(), cfg_->dla_nodes[(i + r) % cfg_->cluster_size()],
                kLogFragment, std::move(w).take());
     }
-  }
-  for (net::NodeId node : cfg_->dla_nodes) {
-    net::Writer w;
-    w.u64(glsn);
-    w.big(acc.value());
-    sim.send(id(), node, kAccumDeposit, std::move(w).take());
   }
 }
 

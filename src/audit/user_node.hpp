@@ -2,8 +2,8 @@
 //
 // A UserNode is an information-system node that (a) logs its transaction
 // events confidentially — request a cluster-assigned glsn, fragment the
-// record by the attribute partition, deliver each fragment to its DLA node,
-// and deposit the one-way-accumulator digest with every node — and (b)
+// record by the attribute partition, and deliver each fragment to its DLA
+// node together with the record's one-way-accumulator digest — and (b)
 // initiates auditing queries against the cluster and receives the glsn sets
 // (and, with an authorized ticket, the matching log pieces).
 #pragma once

@@ -27,16 +27,17 @@ using SessionId = std::uint64_t;
 enum MsgType : std::uint32_t {
   // glsn sequencing (majority agreement)
   kGlsnRequest = 0x10,   // user -> gateway {reqid, ticket}
-  kGlsnForward = 0x11,   // gateway -> leader {reqid, gateway, user, ticket_id}
+  kGlsnForward = 0x11,   // gateway -> leader {gid, gateway}
   kGlsnPropose = 0x12,   // leader -> replicas {proposal_id, glsn}
   kGlsnVote = 0x13,      // replica -> leader {proposal_id, accept, promised_hint}
-  kGlsnCommit = 0x14,    // leader -> replicas {glsn}
+  // 0x14: retired id, never reassigned.
   kGlsnReply = 0x15,     // leader -> gateway -> user {reqid, glsn}
 
-  // fragment logging + accumulator deposits
-  kLogFragment = 0x20,   // user -> P_i {ticket, is_replica, fragment, copy_seq}
+  // fragment logging; the accumulator deposit rides every upload
+  kLogFragment = 0x20,   // user -> P_i {ticket, is_replica, fragment,
+                         //              copy_seq, deposit}
   kLogAck = 0x21,        // P_i -> user {glsn, ok, copy_seq}
-  kAccumDeposit = 0x22,  // user -> P_i {glsn, accumulator value}
+  // 0x22: retired id, never reassigned.
   kFragmentRequest = 0x23,  // user -> P_i {reqid, ticket, glsn}
   kFragmentReply = 0x24,    // P_i -> user {reqid, glsn, ok, fragment}
   kFragmentDelete = 0x25,   // user -> P_i {reqid, ticket, glsn}

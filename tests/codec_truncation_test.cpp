@@ -387,9 +387,10 @@ TEST(CodecTruncation, LiveTrafficSurvivesTruncationReplay) {
   EXPECT_EQ(outcome->glsns.size(), 2u);
 }
 
-// kLogFragment's copy_seq and kSubqueryExec's reply byte are mandatory: a
-// frame that stops right before either is rejected by the owner's real
-// handler and changes no store. The complete frame is the control.
+// kLogFragment's trailing deposit and kSubqueryExec's reply byte are
+// mandatory: a frame that stops right before either is rejected by the
+// owner's real handler and changes no state. The complete frame is the
+// control.
 TEST(CodecTruncation, MissingMandatoryTrailingFieldIsRejected) {
   Cluster::Options options;
   options.schema = logm::paper_schema();
@@ -410,13 +411,17 @@ TEST(CodecTruncation, MissingMandatoryTrailingFieldIsRejected) {
   cluster.user(0).ticket().encode(log);
   log.boolean(false);  // is_replica
   cluster.config()->partition.fragment(record)[0].encode(log);
-  const net::Bytes log_without_copy_seq = log.bytes();
   log.u32(0);  // copy_seq
-  EXPECT_EQ(codec_rejects_of(kLogFragment, log_without_copy_seq), 1u);
+  const net::Bytes log_without_deposit = log.bytes();
+  log.big(bn::BigUInt(12345));  // deposit
+  EXPECT_EQ(codec_rejects_of(kLogFragment, log_without_deposit), 1u);
   EXPECT_EQ(owner.storage().size(), 0u);
   EXPECT_EQ(owner.replica_storage().size(), 0u);
+  EXPECT_TRUE(owner.deposits().empty());
+  EXPECT_TRUE(owner.acl().ticket_ids().empty());
   EXPECT_EQ(codec_rejects_of(kLogFragment, std::move(log).take()), 0u);
   EXPECT_EQ(owner.storage().size(), 1u);
+  EXPECT_EQ(owner.deposits().at(77), bn::BigUInt(12345));
 
   auto exec = [](std::uint64_t rid, bool with_reply) {
     net::Writer w;

@@ -110,18 +110,24 @@ TEST_F(FaultFixture, CrashedRingMemberStallsIntegrityCheckSafely) {
 }
 
 TEST_F(FaultFixture, DroppedMessagesAreAccounted) {
-  // Drop all accumulator deposits: logging completes (acks still flow) but
-  // later integrity checks fail closed because the deposit is missing.
-  cluster.sim().set_drop_policy(
-      [](const net::Message& m) { return m.type == kAccumDeposit; });
+  // Drop the integrity initiator's upload, which carries its deposit: the
+  // write cannot complete (P0 never acks), and a later integrity check from
+  // P0 fails closed because its fragment and deposit are missing.
+  const net::NodeId initiator = cluster.config()->dla_nodes[0];
+  cluster.sim().set_drop_policy([initiator](const net::Message& m) {
+    return m.type == kLogFragment && m.dst == initiator;
+  });
   log_rows(1);
-  ASSERT_EQ(glsns.size(), 1u);
+  EXPECT_TRUE(glsns.empty());
   cluster.sim().set_drop_policy(nullptr);
+  const std::vector<logm::Glsn> stored = cluster.dla(1).storage().glsns();
+  ASSERT_EQ(stored.size(), 1u);
+  EXPECT_FALSE(cluster.dla(0).deposits().contains(stored[0]));
   std::optional<bool> ok;
   cluster.dla(0).on_integrity_result = [&](SessionId, logm::Glsn, bool r) {
     ok = r;
   };
-  cluster.dla(0).start_integrity_check(cluster.sim(), 1, glsns[0]);
+  cluster.dla(0).start_integrity_check(cluster.sim(), 1, stored[0]);
   cluster.run();
   ASSERT_TRUE(ok.has_value());
   EXPECT_FALSE(*ok);  // no deposit -> cannot attest integrity

@@ -568,7 +568,7 @@ TEST(LedgerNet, TailsProbeIsIdempotent) {
 
 TEST(AuditIdempotence, DuplicatedQueriesAnswerOnceFromJournal) {
   // Full cluster under 100% duplication, zero loss: every kAuditQuery,
-  // kAccumDeposit and internal frame arrives twice. Queries must answer
+  // kLogFragment and internal frame arrives twice. Queries must answer
   // correctly, duplicates must be served from the reply journal, and no
   // session state may leak.
   Cluster cluster(Cluster::Options{logm::paper_schema(), 4, 2,
@@ -608,9 +608,9 @@ TEST(AuditIdempotence, DuplicatedQueriesAnswerOnceFromJournal) {
 }
 
 TEST(AuditIdempotence, DepositCannotResurrectAfterDelete) {
-  // A duplicated kAccumDeposit arriving after the fragment was deleted must
-  // not re-create integrity state for the erased glsn (the overtake race:
-  // deposit-dup reordered past the delete).
+  // A duplicated upload (which carries the deposit) arriving after the
+  // record was deleted must not re-create integrity state for the erased
+  // glsn (the overtake race: upload-dup reordered past the delete).
   Cluster cluster(Cluster::Options{logm::paper_schema(), 4, 2,
                                    logm::paper_partition(), /*seed=*/7,
                                    /*auditor_users=*/true});
@@ -631,8 +631,18 @@ TEST(AuditIdempotence, DepositCannotResurrectAfterDelete) {
   cluster.run();
   ASSERT_EQ(glsns.size(), 5u);
   const logm::Glsn victim = glsns[1];
-  // Capture the deposit the user originally broadcast for the victim glsn.
+  // Rebuild the victim's original upload frames, deposit included.
   const bn::BigUInt deposit = cluster.dla(0).deposits().at(victim);
+  std::vector<net::Bytes> uploads;
+  for (std::size_t i = 0; i < cluster.dla_count(); ++i) {
+    net::Writer w;
+    cluster.user(0).ticket().encode(w);
+    w.boolean(false);  // is_replica
+    cluster.dla(i).store().get(victim)->encode(w);
+    w.u32(static_cast<std::uint32_t>(i));  // copy_seq
+    w.big(deposit);
+    uploads.push_back(std::move(w).take());
+  }
 
   bool deleted = false;
   cluster.user(0).delete_record(cluster.sim(), victim,
@@ -642,20 +652,18 @@ TEST(AuditIdempotence, DepositCannotResurrectAfterDelete) {
   for (std::size_t i = 0; i < cluster.dla_count(); ++i) {
     EXPECT_FALSE(cluster.dla(i).deposits().contains(victim)) << "node " << i;
   }
-  // Replay the captured deposit frame at every node (the straggler dup).
-  net::Writer w;
-  w.u64(victim);
-  w.big(deposit);
-  const net::Bytes frame = std::move(w).take();
+  // Replay each node's upload frame (the straggler dup).
   const std::uint64_t drops_before = cluster.dla(0).replay_drops();
   for (std::size_t i = 0; i < cluster.dla_count(); ++i) {
     cluster.sim().send(cluster.user(0).id(), cluster.dla(i).id(),
-                       kAccumDeposit, frame);
+                       kLogFragment, uploads[i]);
   }
   cluster.run();
   for (std::size_t i = 0; i < cluster.dla_count(); ++i) {
     EXPECT_FALSE(cluster.dla(i).deposits().contains(victim))
         << "deposit resurrected on node " << i;
+    EXPECT_FALSE(cluster.dla(i).storage().contains(victim))
+        << "fragment resurrected on node " << i;
   }
   EXPECT_GT(cluster.dla(0).replay_drops(), drops_before);
 }

@@ -2,7 +2,9 @@
 // Section 3 running as actor state machines over the simulated network.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
+#include <vector>
 
 #include "audit/cluster.hpp"
 #include "audit/metrics.hpp"
@@ -731,6 +733,191 @@ TEST_F(IntegrityFixture, AclConsistencyHoldsAfterLogging) {
   cluster.run();
   ASSERT_TRUE(consistent.has_value());
   EXPECT_TRUE(*consistent);
+}
+
+// Logs one record through user 0 and returns its glsn together with the
+// upload frame that reached `node` (as delivered, deposit included).
+struct CapturedWrite {
+  logm::Glsn glsn = 0;
+  net::Message upload;
+};
+CapturedWrite log_one_capturing(Cluster& cluster, std::size_t node) {
+  CapturedWrite out;
+  const net::NodeId dst = cluster.dla(node).id();
+  cluster.sim().set_deliver_hook([&](const net::Message& m) {
+    if (m.type == kLogFragment && m.dst == dst) out.upload = m;
+  });
+  cluster.user(0).log_record(
+      cluster.sim(), logm::paper_table1_records()[0].attrs,
+      [&](std::optional<logm::Glsn> glsn) { out.glsn = glsn.value_or(0); });
+  cluster.run();
+  cluster.sim().set_deliver_hook(nullptr);
+  return out;
+}
+
+// Records the `ok` flag of every kLogAck addressed to it.
+struct AckProbe : net::Node {
+  void on_message(net::Transport&, const net::Message& msg) override {
+    net::Reader r(msg.payload);
+    r.u64();  // glsn
+    acks.push_back(r.boolean());
+    r.u32();  // copy_seq
+    r.expect_end();
+  }
+  std::vector<bool> acks;
+};
+
+bool integrity_passes(Cluster& cluster, std::size_t initiator,
+                      logm::Glsn glsn) {
+  std::optional<bool> ok;
+  cluster.dla(initiator).on_integrity_result =
+      [&](SessionId, logm::Glsn, bool result) { ok = result; };
+  cluster.dla(initiator).start_integrity_check(cluster.sim(), 400 + initiator,
+                                               glsn);
+  cluster.run();
+  return ok.value_or(false);
+}
+
+// A Write ticket cannot overwrite a record another ticket stored, in the
+// primary store or by flagging its upload as a replica copy: the node acks
+// the upload refused and keeps the fragment, the deposit and the ACL. The
+// owner's own duplicate upload stays idempotent.
+TEST_F(IntegrityFixture, UploadOverAnotherTicketsRecordIsRefused) {
+  const CapturedWrite write = log_one_capturing(cluster, 1);
+  ASSERT_NE(write.glsn, 0u);
+  DlaNode& owner = cluster.dla(1);
+  const logm::Fragment original = *owner.store().get(write.glsn);
+  const bn::BigUInt deposit = owner.deposits().at(write.glsn);
+  const logm::AccessControlTable acl = owner.acl();
+
+  AckProbe probe;
+  const net::NodeId probe_id = cluster.sim().add_node(probe);
+  const Ticket evil = cluster.issue_ticket("EVIL", "mallory", {logm::Op::Write});
+  logm::Fragment forged = original;
+  forged.attrs["C2"] = logm::Value(1.0);
+  for (bool is_replica : {false, true}) {
+    net::Writer w;
+    evil.encode(w);
+    w.boolean(is_replica);
+    forged.encode(w);
+    w.u32(0);  // copy_seq
+    w.big(bn::BigUInt(666));
+    cluster.sim().send(probe_id, owner.id(), kLogFragment,
+                       std::move(w).take());
+  }
+  cluster.run();
+  EXPECT_EQ(probe.acks, (std::vector<bool>{false, false}));
+  EXPECT_EQ(*owner.store().get(write.glsn), original);
+  EXPECT_FALSE(owner.replica_storage().contains(write.glsn));
+  EXPECT_EQ(owner.deposits().at(write.glsn), deposit);
+  EXPECT_TRUE(owner.acl() == acl);
+  EXPECT_TRUE(integrity_passes(cluster, 0, write.glsn));
+
+  cluster.sim().send(probe_id, owner.id(), kLogFragment, write.upload.payload);
+  cluster.run();
+  EXPECT_EQ(probe.acks, (std::vector<bool>{false, false, true}));
+  EXPECT_EQ(*owner.store().get(write.glsn), original);
+  EXPECT_EQ(owner.deposits().at(write.glsn), deposit);
+}
+
+// ------------------------------------------------------ write path cost --
+
+// One write at n = 4 takes 4n + 4 = 20 deliveries: request, forward, n
+// proposals, n votes, reply to the gateway and on to the user, and one
+// upload plus one ack per node. Nothing else: no commit broadcast (retired
+// id 0x14) and no separate deposit fan-out (retired id 0x22).
+TEST_F(IntegrityFixture, OneWriteCostsFourNPlusFourMessages) {
+  std::map<std::uint32_t, std::size_t> delivered;
+  cluster.sim().set_deliver_hook(
+      [&](const net::Message& m) { ++delivered[m.type]; });
+  std::optional<logm::Glsn> glsn;
+  cluster.user(0).log_record(
+      cluster.sim(), logm::paper_table1_records()[0].attrs,
+      [&](std::optional<logm::Glsn> g) { glsn = g; });
+  cluster.run();
+  cluster.sim().set_deliver_hook(nullptr);
+  ASSERT_TRUE(glsn.has_value());
+  const std::map<std::uint32_t, std::size_t> expected = {
+      {kGlsnRequest, 1}, {kGlsnForward, 1}, {kGlsnPropose, 4},
+      {kGlsnVote, 4},    {kGlsnReply, 2},   {kLogFragment, 4},
+      {kLogAck, 4}};
+  EXPECT_EQ(delivered, expected);
+}
+
+// Writes that reach the leader before its first proposal's votes return
+// each get the next value at proposal time: one round of n proposals per
+// write, no retry, and glsns in issue order.
+TEST(WritePath, ConcurrentWritesAtOneGatewayProposeOncePerWrite) {
+  Cluster cluster(Cluster::Options{logm::paper_schema(), 4, 4,
+                                   logm::paper_partition(), /*seed=*/42,
+                                   /*auditor_users=*/true});
+  std::size_t proposals = 0;
+  cluster.sim().set_deliver_hook([&](const net::Message& m) {
+    if (m.type == kGlsnPropose) ++proposals;
+  });
+  std::vector<std::optional<logm::Glsn>> assigned(4);
+  for (std::size_t u = 0; u < 4; ++u) {
+    cluster.user(u).set_gateway(0);
+    cluster.user(u).log_record(
+        cluster.sim(), logm::paper_table1_records()[u].attrs,
+        [&assigned, u](std::optional<logm::Glsn> g) { assigned[u] = g; });
+  }
+  cluster.run();
+  EXPECT_EQ(proposals, 16u);
+  for (std::size_t u = 0; u < 4; ++u) {
+    EXPECT_EQ(assigned[u], std::optional<logm::Glsn>(0x139aef78 + u))
+        << "user " << u;
+  }
+}
+
+// The retired deposit id 0x22 is a raw, ticketless frame: it must not
+// replace any node's deposit, so the record still passes its check.
+TEST_F(IntegrityFixture, RawDepositFrameChangesNoDeposit) {
+  log_paper_records();
+  std::vector<std::map<logm::Glsn, bn::BigUInt>> before;
+  for (std::size_t i = 0; i < 4; ++i) before.push_back(cluster.dla(i).deposits());
+  net::Writer w;
+  w.u64(glsns[0]);
+  w.big(bn::BigUInt(666));
+  const net::Bytes frame = std::move(w).take();
+  for (std::size_t i = 0; i < 4; ++i) {
+    cluster.sim().send(cluster.config()->ttp, cluster.dla(i).id(), 0x22,
+                       frame);
+  }
+  cluster.run();
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(cluster.dla(i).deposits(), before[i]) << "node " << i;
+  }
+  EXPECT_TRUE(integrity_passes(cluster, 0, glsns[0]));
+}
+
+// An upload replayed after its record was deleted restores nothing: not the
+// fragment, not the ticket's ACL entry, not the deposit.
+TEST_F(IntegrityFixture, ReplayedUploadAfterDeleteRestoresNothing) {
+  cluster.user(0).configure(
+      cluster.config(),
+      cluster.issue_ticket("TDEL", "u0",
+                           {logm::Op::Read, logm::Op::Write, logm::Op::Delete},
+                           /*auditor=*/true));
+  const CapturedWrite write = log_one_capturing(cluster, 1);
+  ASSERT_NE(write.glsn, 0u);
+  std::optional<bool> deleted;
+  cluster.user(0).delete_record(cluster.sim(), write.glsn,
+                                [&](bool ok) { deleted = ok; });
+  cluster.run();
+  ASSERT_EQ(deleted, std::optional<bool>(true));
+
+  DlaNode& node = cluster.dla(1);
+  const logm::AccessControlTable acl = node.acl();
+  const std::uint64_t drops = node.replay_drops();
+  cluster.sim().send(write.upload.src, write.upload.dst, kLogFragment,
+                     write.upload.payload);
+  cluster.run();
+  EXPECT_FALSE(node.storage().contains(write.glsn));
+  EXPECT_FALSE(node.acl().allowed("TDEL", logm::Op::Read, write.glsn));
+  EXPECT_TRUE(node.acl() == acl);
+  EXPECT_FALSE(node.deposits().contains(write.glsn));
+  EXPECT_GT(node.replay_drops(), drops);
 }
 
 TEST_F(IntegrityFixture, AclInconsistencyDetected) {

@@ -124,10 +124,10 @@ TEST(Wire, MalformedPayloadsDoNotCrashNodes) {
   Cluster cluster(Cluster::Options{logm::paper_schema(), 3, 1,
                                    std::nullopt, 1, true});
   // Garbage at every protocol message type, plus unknown types: the retired
-  // ids 0x84 and 0x88 and one never assigned.
+  // ids 0x14, 0x22, 0x84 and 0x88 and one never assigned.
   std::vector<std::uint32_t> types = {
       kGlsnRequest, kGlsnForward, kGlsnPropose,   kGlsnVote,
-      kGlsnCommit,  kGlsnReply,   kLogFragment,   kAccumDeposit,
+      0x14,         kGlsnReply,   kLogFragment,   0x22,
       kFragmentRequest, kFragmentDelete, kSetStart, kSetRing,
       kSetFull,     kSetDecrypt,  kSetResult,     kSumStart,
       kSumShare,    kSumEval,     kSumResult,     kCmpParams,

@@ -2,8 +2,9 @@
 //
 // Runs every scenario as a fault-free / seeded-chaos pair on one or both
 // transport backends, asserts the per-run invariants (I1-I5), the Eq. 10-13
-// confidentiality metrics and the pair agreement, gates fault-free latency
-// and confidentiality against bench/traffic_baseline.txt, and writes
+// confidentiality metrics and the pair agreement, gates fault-free latency,
+// confidentiality and per-class message counts against
+// bench/traffic_baseline.txt, and writes
 // BENCH_traffic.json. A fault-injection canary (debug_rewind_glsn mid-run)
 // must be *caught* by the harness or the driver fails — proving the checks
 // have teeth. See docs/TRAFFIC.md.
@@ -286,11 +287,20 @@ std::map<std::string, double> baseline_metrics(const RunResult& r) {
   m["c_store"] = r.c_store;
   m["c_auditing"] = r.c_auditing;
   m["c_dla"] = r.c_dla;
+  // Protocol shape: messages delivered per class. A message off the critical
+  // path (a broadcast nobody waits for) is invisible to the latency gate.
+  for (const auto& [cls, n] : r.messages_by_class) {
+    m["msgs_" + cls] = static_cast<double>(n);
+  }
   return m;
 }
 
 bool is_confidentiality(const std::string& metric) {
   return metric.rfind("c_", 0) == 0;
+}
+
+bool is_count(const std::string& metric) {
+  return metric.rfind("msgs_", 0) == 0;
 }
 
 }  // namespace
@@ -409,7 +419,8 @@ int main(int argc, char** argv) {
       // Regression gate over the fault-free leg. Latency budget is 1.25x
       // the checked-in value (+250us absolute floor for tiny quantities);
       // confidentiality must match to 1e-9 — the metrics are functions of
-      // the spec-fixed op stream only.
+      // the spec-fixed op stream only. Message counts repeat exactly for a
+      // spec, so a count may not exceed its baseline at all.
       for (const auto& [metric, value] : baseline_metrics(a)) {
         new_baseline[scope + " " + metric] = value;
         if (write_baseline || !found_baseline) continue;
@@ -424,6 +435,12 @@ int main(int argc, char** argv) {
               1e-9 * std::max(1.0, std::abs(it->second))) {
             failures.push_back(scope + ": " + metric + " drifted from " +
                                fmt(it->second) + " to " + fmt(value));
+          }
+        } else if (is_count(metric)) {
+          if (value > it->second) {
+            failures.push_back(scope + ": " + metric + " regressed: " +
+                               fmt(value) + " messages vs baseline " +
+                               fmt(it->second));
           }
         } else if (value > it->second * 1.25 + 250.0) {
           failures.push_back(scope + ": " + metric + " regressed: " +
