@@ -909,7 +909,20 @@ void DlaNode::handle_set_result(net::Transport& sim, const net::Message& msg) {
     pending_combines_.erase(pc);
     std::vector<logm::Glsn> glsns;
     glsns.reserve(elements.size());
-    for (const auto& e : elements) glsns.push_back(decode_glsn_element(e));
+    for (const auto& e : elements) {
+      const std::optional<logm::Glsn> glsn = decode_glsn_element(e);
+      if (!glsn) {
+        // Not an element any node encoded: certifying it would report a
+        // glsn nobody wrote.
+        ++set_ring_rejects_;
+        auto qit = queries_.find(combine.qid);
+        if (qit != queries_.end()) {
+          fail_query(sim, qit->second, "combine result is not a glsn set");
+        }
+        return;
+      }
+      glsns.push_back(*glsn);
+    }
     sort_unique(glsns);
     if (combine.is_final) {
       auto qit = queries_.find(combine.qid);
@@ -1970,7 +1983,7 @@ void DlaNode::handle_combine_exec(net::Transport& sim,
   std::vector<bn::BigUInt> elements;
   elements.reserve(merged.size());
   for (logm::Glsn g : merged) {
-    elements.push_back(encode_glsn_element(g, ""));
+    elements.push_back(encode_glsn_element(g));
   }
   sort_unique(elements);
   join_ring(sim, *ring, std::move(elements));

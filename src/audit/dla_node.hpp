@@ -101,7 +101,9 @@ class DlaNode : public net::Node {
   // Ring-pass messages dropped because this node was not listed in the
   // spec's participants (a malformed or misrouted kSetStart/kSetRing).
   // Joining the ring at a fabricated position would corrupt the protocol —
-  // such messages are rejected, and this counter is the audit trail.
+  // such messages are rejected, and this counter is the audit trail. It
+  // also counts malformed ring frames and, at a gateway, combine results
+  // holding an element that is not a glsn element (the query fails).
   std::uint64_t set_ring_rejects() const { return set_ring_rejects_; }
   // Messages dropped because their session was already served (at-least-once
   // duplicates recognised by the replay guards).

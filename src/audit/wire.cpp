@@ -149,21 +149,29 @@ TaskReply decode_task_reply(net::Reader& r) {
   return static_cast<TaskReply>(reply);
 }
 
-bn::BigUInt encode_glsn_element(logm::Glsn glsn,
-                                const std::string& value_salt) {
-  bn::BigUInt element(glsn + 1);
-  element <<= 160;
-  crypto::Digest d = crypto::Sha256::hash(value_salt);
-  bn::BigUInt hash_part = bn::BigUInt::from_bytes({d.begin(), d.end()});
-  // Keep only the low 160 bits of the digest.
-  bn::BigUInt mask = (bn::BigUInt(1) << 160) - bn::BigUInt(1);
-  hash_part = hash_part % (mask + bn::BigUInt(1));
-  return element + hash_part;
+namespace {
+
+// The low 160 bits of every glsn element: SHA-256 of the empty string, whose
+// last 20 bytes are its low 160 bits.
+const bn::BigUInt& glsn_element_tail() {
+  static const bn::BigUInt tail = [] {
+    const crypto::Digest d = crypto::Sha256::hash(std::string_view{});
+    return bn::BigUInt::from_bytes({d.end() - 20, d.end()});
+  }();
+  return tail;
 }
 
-logm::Glsn decode_glsn_element(const bn::BigUInt& element) {
-  bn::BigUInt shifted = element >> 160;
-  return shifted.low_u64() - 1;
+}  // namespace
+
+bn::BigUInt encode_glsn_element(logm::Glsn glsn) {
+  return (bn::BigUInt(glsn + 1) << 160) + glsn_element_tail();
+}
+
+std::optional<logm::Glsn> decode_glsn_element(const bn::BigUInt& element) {
+  const bn::BigUInt high = element >> 160;
+  if (high.is_zero() || !high.fits_u64()) return std::nullopt;
+  if (element - (high << 160) != glsn_element_tail()) return std::nullopt;
+  return high.low_u64() - 1;
 }
 
 }  // namespace dla::audit

@@ -230,12 +230,14 @@ enum class TaskReply : std::uint8_t { Stage = 0, Count = 1, Set = 2 };
 TaskReply decode_task_reply(net::Reader& r);
 
 // --------------------------------------------------------- glsn elements --
-// Set elements that embed a recoverable glsn: (glsn+1) << 160 | H(value).
-// Equal elements iff same glsn AND same attribute value; the glsn is
-// recovered from the decrypted plaintext by shifting. The +1 keeps elements
-// nonzero for glsn 0.
-bn::BigUInt encode_glsn_element(logm::Glsn glsn, const std::string& value_salt);
-logm::Glsn decode_glsn_element(const bn::BigUInt& element);
+// Set elements that embed a recoverable glsn: (glsn+1) << 160 | T, where the
+// constant tail T is the low 160 bits of SHA-256(""). The glsn is recovered
+// from the decrypted plaintext by shifting; the +1 keeps elements nonzero
+// for glsn 0. Decoding accepts only the tail T and a high part in
+// [1, 2^64 - 1], so a decrypted value that no encoder produced (a wrong key
+// at one hop, a tampered chunk) decodes to nullopt instead of a glsn.
+bn::BigUInt encode_glsn_element(logm::Glsn glsn);
+std::optional<logm::Glsn> decode_glsn_element(const bn::BigUInt& element);
 
 // -------------------------------------------------- certified reports --
 // The message a threshold-certified audit report signs: binds the user's

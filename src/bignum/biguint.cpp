@@ -82,11 +82,14 @@ BigUInt BigUInt::from_decimal(std::string_view dec) {
 }
 
 BigUInt BigUInt::from_bytes(const std::vector<std::uint8_t>& bytes) {
+  // The last byte is the lowest: byte i from the end lands in limb i / 8.
   BigUInt out;
-  for (std::uint8_t b : bytes) {
-    out <<= 8;
-    out += BigUInt(b);
+  const std::size_t n = bytes.size();
+  out.limbs_.assign((n + 7) / 8, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    out.limbs_[i / 8] |= static_cast<u64>(bytes[n - 1 - i]) << (8 * (i % 8));
   }
+  out.trim();
   return out;
 }
 

@@ -5,12 +5,19 @@
 #include <stdexcept>
 #include <utility>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace dla::bn {
 
 namespace {
 
 using u64 = std::uint64_t;
 using u128 = unsigned __int128;
+
+constexpr u64 kMask52 = (u64{1} << 52) - 1;
+constexpr std::size_t kLanes = MontgomeryContext::kLanes;
 
 // -m^-1 mod 2^64 by Newton iteration (m odd).
 u64 neg_inverse_64(u64 m) {
@@ -169,6 +176,102 @@ constexpr std::array<Table, sizeof...(N)> kernel_table(
   return {{{&Kernel<N>::mul, &Kernel<N>::sqr, &Kernel<N>::redc}...}};
 }
 
+// Radix-2^52 limbs 0..k-1 of the n-limb x; limb j goes to out[j * stride].
+void split52(const u64* x, std::size_t n, std::size_t k, std::size_t stride,
+             u64* out) {
+  for (std::size_t j = 0; j < k; ++j) {
+    const std::size_t word = 52 * j / 64;
+    const std::size_t shift = 52 * j % 64;
+    u64 v = word < n ? x[word] >> shift : 0;
+    if (shift > 12 && word + 1 < n) v |= x[word + 1] << (64 - shift);
+    out[j * stride] = v & kMask52;
+  }
+}
+
+// The inverse of split52 for a value below 2^(64n): n limbs into out.
+void join52(const u64* v, std::size_t k, std::size_t stride, std::size_t n,
+            u64* out) {
+  std::fill_n(out, n, 0);
+  for (std::size_t j = 0; j < k; ++j) {
+    const u64 limb = v[j * stride];
+    const std::size_t word = 52 * j / 64;
+    const std::size_t shift = 52 * j % 64;
+    if (word < n) out[word] |= limb << shift;
+    if (shift > 12 && word + 1 < n) out[word + 1] |= limb >> (64 - shift);
+  }
+}
+
+#if defined(__x86_64__)
+// AVX-512F and IFMA on this CPU, read once per process.
+bool cpu_has_lanes() {
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") &&
+           __builtin_cpu_supports("avx512ifma");
+  }();
+  return has;
+}
+
+// The 8-lane almost-Montgomery multiply for K limbs of 52 bits, operand
+// scanning: row i adds b[i] * a and then q * m, q = acc[0] * k0 mod 2^52,
+// as unnormalised low and high 52-bit halves into 64-bit lane accumulators,
+// and drops the low limb that q cleared. A limb gathers at most 4K halves
+// below 2^52 (< 2^58 for K <= 10), so one carry pass normalises the result.
+// Every __m512i stays inside this function: only word arrays cross it.
+// Shifts use the zero-masking form with every lane selected: it is the same
+// instruction, but GCC 12's unmasked forms pass an undefined source that
+// trips -Wuninitialized (GCC bugzilla 105593).
+template <std::size_t K>
+__attribute__((target("avx512f,avx512ifma"))) void lane_mul(
+    const u64* mod, u64 k0, const u64* a, const u64* b, u64* out) {
+  const __m512i zero = _mm512_setzero_si512();
+  const __m512i k0v = _mm512_set1_epi64(static_cast<long long>(k0));
+  __m512i av[K] = {};
+  __m512i mv[K] = {};
+  __m512i acc[K + 1] = {};
+#pragma GCC unroll 10
+  for (std::size_t j = 0; j < K; ++j) {
+    av[j] = _mm512_loadu_si512(a + j * kLanes);
+    mv[j] = _mm512_set1_epi64(static_cast<long long>(mod[j]));
+  }
+#pragma GCC unroll 10
+  for (std::size_t i = 0; i < K; ++i) {
+    const __m512i bi = _mm512_loadu_si512(b + i * kLanes);
+#pragma GCC unroll 10
+    for (std::size_t j = 0; j < K; ++j) {
+      acc[j] = _mm512_madd52lo_epu64(acc[j], av[j], bi);
+      acc[j + 1] = _mm512_madd52hi_epu64(acc[j + 1], av[j], bi);
+    }
+    const __m512i q = _mm512_madd52lo_epu64(zero, acc[0], k0v);
+#pragma GCC unroll 10
+    for (std::size_t j = 0; j < K; ++j) {
+      acc[j] = _mm512_madd52lo_epu64(acc[j], mv[j], q);
+      acc[j + 1] = _mm512_madd52hi_epu64(acc[j + 1], mv[j], q);
+    }
+    const __m512i carry = _mm512_maskz_srli_epi64(0xFF, acc[0], 52);
+    acc[1] = _mm512_add_epi64(acc[1], carry);
+#pragma GCC unroll 10
+    for (std::size_t j = 0; j < K; ++j) acc[j] = acc[j + 1];
+    acc[K] = zero;
+  }
+  // The result is below 2m < R, so no carry leaves the top limb.
+  const __m512i mask = _mm512_set1_epi64(static_cast<long long>(kMask52));
+  __m512i carry = zero;
+#pragma GCC unroll 10
+  for (std::size_t j = 0; j < K; ++j) {
+    const __m512i v = _mm512_add_epi64(acc[j], carry);
+    _mm512_storeu_si512(out + j * kLanes, _mm512_and_si512(v, mask));
+    carry = _mm512_maskz_srli_epi64(0xFF, v, 52);
+  }
+}
+
+template <class Fn, std::size_t... K>
+constexpr std::array<Fn, sizeof...(K) + 1> lane_table(
+    std::index_sequence<K...>) {
+  return {{nullptr, &lane_mul<K + 1>...}};
+}
+#endif
+
 }  // namespace
 
 struct MontgomeryContext::Kernels {
@@ -200,6 +303,26 @@ MontgomeryContext::MontgomeryContext(BigUInt modulus)
   r2_.resize(n_limbs_, 0);
   one_mont_ = r_mod.limbs();
   one_mont_.resize(n_limbs_, 0);
+
+#if defined(__x86_64__)
+  // R = 2^(52K) > 4m keeps every lane value below 2m.
+  const std::size_t k = (modulus_.bit_length() + 2 + 51) / 52;
+  if (k <= kMaxLaneLimbs && cpu_has_lanes()) {
+    static constexpr auto kLaneTable =
+        lane_table<LaneMul>(std::make_index_sequence<kMaxLaneLimbs>{});
+    lane_mul_ = kLaneTable[k];
+    lane_limbs_ = k;
+    lane_k0_ = n_prime_ & kMask52;
+    lane_mod_.resize(k);
+    split52(mod_limbs_.data(), n_limbs_, k, 1, lane_mod_.data());
+    const BigUInt lane_r2 = (BigUInt(1) << (104 * k)) % modulus_;
+    lane_r2_.resize(k * kLanes);
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      split52(lane_r2.limbs().data(), lane_r2.limbs().size(), k, kLanes,
+              lane_r2_.data() + l);
+    }
+  }
+#endif
 }
 
 void MontgomeryContext::mont_mul_raw(const u64* a, const u64* b, u64* out,
@@ -230,6 +353,47 @@ void MontgomeryContext::to_mont_raw(const BigUInt& v, u64* out,
     std::fill(out + limbs.size(), out + n_limbs_, 0);
   }
   mont_mul_raw(out, r2_.data(), out, scratch);
+}
+
+void MontgomeryContext::to_lanes_raw(const BigUInt* v, std::size_t count,
+                                     u64* out) const {
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    const BigUInt& x = v[l < count ? l : 0];
+    if (x < modulus_) {
+      split52(x.limbs().data(), x.limbs().size(), lane_limbs_, kLanes,
+              out + l);
+    } else {
+      const BigUInt r = x % modulus_;
+      split52(r.limbs().data(), r.limbs().size(), lane_limbs_, kLanes,
+              out + l);
+    }
+  }
+  lane_mul_raw(out, lane_r2_.data(), out);
+}
+
+void MontgomeryContext::lane_mul_raw(const u64* a, const u64* b,
+                                     u64* out) const {
+  lane_mul_(lane_mod_.data(), lane_k0_, a, b, out);
+}
+
+void MontgomeryContext::from_lanes_raw(const u64* v, std::size_t count,
+                                       BigUInt* out) const {
+  std::array<u64, kMaxLaneLimbs * kLanes> one{};
+  std::fill_n(one.data(), kLanes, 1);
+  std::array<u64, kMaxLaneLimbs * kLanes> t{};
+  // t = v * R^-1 < m + 1, and t = m only for a lane that is 0 mod m.
+  lane_mul_raw(v, one.data(), t.data());
+  for (std::size_t l = 0; l < count; ++l) {
+    bool is_m = true;
+    for (std::size_t j = 0; j < lane_limbs_; ++j) {
+      is_m = is_m && t[j * kLanes + l] == lane_mod_[j];
+    }
+    Limbs limbs(n_limbs_, 0);
+    if (!is_m) {
+      join52(t.data() + l, lane_limbs_, kLanes, n_limbs_, limbs.data());
+    }
+    out[l] = BigUInt::from_limbs(std::move(limbs));
+  }
 }
 
 MontgomeryContext::Limbs MontgomeryContext::mont_mul(const Limbs& a,

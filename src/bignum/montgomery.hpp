@@ -25,6 +25,17 @@
 // runs REDC. A fully reduced Montgomery product is unique, so every width
 // gives bit-identical results. Measured on an x86-64 Xeon (GCC 12.2, -O2),
 // a square costs 1.0x a multiply at 256 bits and 0.8x at 512 and 1024 bits.
+//
+// Beside the scalar kernels sits an 8-lane multiply for batches that share
+// one modulus: eight values in the 52-bit lanes of AVX-512 IFMA (Gueron &
+// Krasnov, ARITH 2016), radix 2^52, one kernel source templated on the
+// 52-bit limb count K = ceil((bits + 2) / 52) for K = 1..10 (moduli up to
+// 518 bits). With R = 2^(52K) > 4m it is an almost-Montgomery multiply: lane
+// values stay in [0, 2m) with no final subtraction, and from_lanes_raw
+// returns the canonical value. The lane code is compiled only on x86-64,
+// through a target attribute on the lane functions (no global -m flag), and
+// the constructor enables it once, when the CPU reports AVX-512F and IFMA
+// and K <= 10; lane_limbs() reads 0 otherwise.
 #pragma once
 
 #include <cstdint>
@@ -81,10 +92,33 @@ class MontgomeryContext {
   void redc_raw(const std::uint64_t* v, std::uint64_t* out,
                 std::uint64_t* scratch) const;
 
+  // --- 8-lane API (crypto::ModExpEngine batch path) -----------------------
+  // A lane buffer holds lane_limbs() * kLanes words: radix-2^52 limb j of
+  // lane l at [j * kLanes + l], each lane a Montgomery form for
+  // R = 2^(52 * lane_limbs()) in [0, 2m). None of these allocates.
+  static constexpr std::size_t kLanes = 8;
+  static constexpr std::size_t kMaxLaneLimbs = 10;
+  // K when this context runs the lane kernel; 0 on a CPU without AVX-512
+  // IFMA or for a modulus wider than 518 bits.
+  std::size_t lane_limbs() const { return lane_limbs_; }
+  // Lane l <- v[l] * R mod m (v[l] reduced first) for l < count; the lanes
+  // from count on repeat v[0]. 1 <= count <= kLanes.
+  void to_lanes_raw(const BigUInt* v, std::size_t count,
+                    std::uint64_t* out) const;
+  // out = a * b * R^-1 mod m in every lane. `out` may alias `a` or `b`.
+  void lane_mul_raw(const std::uint64_t* a, const std::uint64_t* b,
+                    std::uint64_t* out) const;
+  // out[l] <- lane l * R^-1 mod m, canonical, for l < count.
+  void from_lanes_raw(const std::uint64_t* v, std::size_t count,
+                      BigUInt* out) const;
+
  private:
   // Function pointers to the multiply, square and REDC kernels for one limb
   // count; defined in montgomery.cpp.
   struct Kernels;
+  using LaneMul = void (*)(const std::uint64_t* mod, std::uint64_t k0,
+                           const std::uint64_t* a, const std::uint64_t* b,
+                           std::uint64_t* out);
 
   Limbs mont_mul(const Limbs& a, const Limbs& b) const;
 
@@ -95,6 +129,13 @@ class MontgomeryContext {
   Limbs r2_;                   // R^2 mod m (for to_mont)
   Limbs one_mont_;             // R mod m (Montgomery one)
   Limbs mod_limbs_;
+
+  // Radix-2^52 constants of the lane kernel, set only when it runs.
+  LaneMul lane_mul_ = nullptr;
+  std::size_t lane_limbs_ = 0;
+  std::uint64_t lane_k0_ = 0;  // -m^-1 mod 2^52
+  Limbs lane_mod_;             // m, K limbs of 52 bits
+  Limbs lane_r2_;              // R^2 mod m, broadcast to every lane
 };
 
 }  // namespace dla::bn

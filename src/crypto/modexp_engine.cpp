@@ -1,6 +1,7 @@
 #include "crypto/modexp_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -28,6 +29,9 @@ std::atomic<bool> g_batching_enabled{true};
 // Elements below which a batch is not worth fanning out: a chunk must
 // amortize the enqueue/wake handshake over enough ~10-60us exponentiations.
 constexpr std::size_t kMinChunkElements = 16;
+
+// Odd powers in the widest sliding window the constructor picks (5 bits).
+constexpr std::size_t kMaxTableEntries = 16;
 
 std::size_t auto_thread_count() {
   if (const char* env = std::getenv("DLA_MODEXP_THREADS")) {
@@ -204,6 +208,45 @@ ModExpEngine::ModExpEngine(std::shared_ptr<const bn::MontgomeryContext> ctx,
   tail_squarings_ = pending;
 }
 
+template <class Mul, class Sqr>
+u64* ModExpEngine::replay(u64* ws, std::size_t width, const Mul& mul,
+                          const Sqr& sqr) const {
+  // Workspace: odd-power table | base^2 | accumulator.
+  u64* table = ws;  // base^1 on entry
+  u64* base2 = table + table_entries_ * width;
+  u64* acc = base2 + width;
+  if (table_entries_ > 1) {
+    sqr(table, base2);
+    for (std::size_t t = 1; t < table_entries_; ++t) {
+      mul(table + (t - 1) * width, base2, table + t * width);
+    }
+  }
+  // First window lands on an accumulator of 1: skip its squarings.
+  std::copy_n(table + ops_[0].table_index * width, width, acc);
+  for (std::size_t op = 1; op < ops_.size(); ++op) {
+    for (std::uint32_t s = 0; s < ops_[op].squarings; ++s) sqr(acc, acc);
+    mul(acc, table + ops_[op].table_index * width, acc);
+  }
+  for (std::uint32_t s = 0; s < tail_squarings_; ++s) sqr(acc, acc);
+  return acc;
+}
+
+void ModExpEngine::pow_lanes(bn::BigUInt* first, std::size_t count) const {
+  using Ctx = bn::MontgomeryContext;
+  const Ctx& ctx = *ctx_;
+  const std::size_t width = ctx.lane_limbs() * Ctx::kLanes;
+  std::array<u64, (kMaxTableEntries + 2) * Ctx::kMaxLaneLimbs * Ctx::kLanes>
+      ws{};
+  ctx.to_lanes_raw(first, count, ws.data());
+  u64* acc = replay(
+      ws.data(), width,
+      [&](const u64* a, const u64* b, u64* out) {
+        ctx.lane_mul_raw(a, b, out);
+      },
+      [&](const u64* a, u64* out) { ctx.lane_mul_raw(a, a, out); });
+  ctx.from_lanes_raw(acc, count, first);
+}
+
 void ModExpEngine::pow_run(bn::BigUInt* first, std::size_t count) const {
   const bn::MontgomeryContext& ctx = *ctx_;
   const std::size_t n = ctx.limb_count();
@@ -214,33 +257,30 @@ void ModExpEngine::pow_run(bn::BigUInt* first, std::size_t count) const {
     }
     return;
   }
-  // One flat workspace per run, reused across all `count` elements:
-  // odd-power table | base^2 | accumulator | REDC scratch.
-  std::vector<u64> ws(table_entries_ * n + 2 * n + ctx.scratch_limbs());
-  u64* table = ws.data();
-  u64* base2 = table + table_entries_ * n;
-  u64* acc = base2 + n;
-  u64* scratch = acc + n;
-
-  for (std::size_t k = 0; k < count; ++k) {
-    ctx.to_mont_raw(first[k], table, scratch);  // base^1
-    if (table_entries_ > 1) {
-      ctx.mont_sqr_raw(table, base2, scratch);  // base^2
-      for (std::size_t t = 1; t < table_entries_; ++t) {
-        ctx.mont_mul_raw(table + (t - 1) * n, base2, table + t * n, scratch);
-      }
+  std::size_t done = 0;
+  if (ctx.lane_limbs() != 0) {
+    // A short group is padded to eight lanes; a lone base is cheaper on
+    // the scalar kernel.
+    while (count - done >= 2) {
+      const std::size_t group =
+          std::min(count - done, bn::MontgomeryContext::kLanes);
+      pow_lanes(first + done, group);
+      done += group;
     }
-    // First window lands on an accumulator of 1: skip its squarings.
-    std::copy_n(table + ops_[0].table_index * n, n, acc);
-    for (std::size_t op = 1; op < ops_.size(); ++op) {
-      for (std::uint32_t s = 0; s < ops_[op].squarings; ++s) {
-        ctx.mont_sqr_raw(acc, acc, scratch);
-      }
-      ctx.mont_mul_raw(acc, table + ops_[op].table_index * n, acc, scratch);
-    }
-    for (std::uint32_t s = 0; s < tail_squarings_; ++s) {
-      ctx.mont_sqr_raw(acc, acc, scratch);
-    }
+  }
+  if (done == count) return;
+  // One flat workspace, reused across the scalar elements: replay's values
+  // then the REDC scratch.
+  std::vector<u64> ws((table_entries_ + 2) * n + ctx.scratch_limbs());
+  u64* scratch = ws.data() + (table_entries_ + 2) * n;
+  for (std::size_t k = done; k < count; ++k) {
+    ctx.to_mont_raw(first[k], ws.data(), scratch);  // base^1
+    u64* acc = replay(
+        ws.data(), n,
+        [&](const u64* a, const u64* b, u64* out) {
+          ctx.mont_mul_raw(a, b, out, scratch);
+        },
+        [&](const u64* a, u64* out) { ctx.mont_sqr_raw(a, out, scratch); });
     ctx.redc_raw(acc, acc, scratch);
     first[k] = bn::BigUInt::from_limbs(
         bn::MontgomeryContext::Limbs(acc, acc + n));

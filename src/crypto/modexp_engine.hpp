@@ -13,6 +13,13 @@
 //     runs — fewer multiplies than a fixed window);
 //   * per-base odd-power tables and all REDC temporaries live in one flat,
 //     reused workspace — the hot loop performs zero heap allocations;
+//   * where the context has the 8-lane AVX-512 IFMA kernel (see
+//     bignum/montgomery.hpp), pow_batch() runs each group of up to eight
+//     bases through the schedule in lock-step, the last group padded by
+//     repeating a base; a lone base, a modulus wider than 518 bits or a
+//     CPU without IFMA takes the scalar kernel, and so does pow(), the
+//     scalar reference. A modexp has one value mod m, so both give
+//     bit-identical results;
 //   * pow_batch() fans independent elements across a small internal thread
 //     pool (sized by set_batch_threads / DLA_MODEXP_THREADS, default = the
 //     hardware concurrency capped at 8). Callers block until the batch is
@@ -85,9 +92,18 @@ class ModExpEngine {
     std::uint32_t table_index = 0;
   };
 
-  // Exponentiates `count` bases starting at `first` using one reused
-  // workspace (the per-thread unit of pow_batch).
+  // Exponentiates `count` bases starting at `first` (the per-thread unit of
+  // pow_batch): groups of up to kLanes bases in the lane kernel when the
+  // context has one, a lone base in the scalar kernel with one workspace.
   void pow_run(bn::BigUInt* first, std::size_t count) const;
+  // Exponentiates 2..kLanes bases in the lanes of one lane buffer.
+  void pow_lanes(bn::BigUInt* first, std::size_t count) const;
+  // Replays the schedule over values of `width` words through `mul`
+  // (a, b, out) and `sqr` (a, out). ws holds table_entries_ + 2 values, the
+  // base's Montgomery form first; returns the one holding base^exponent.
+  template <class Mul, class Sqr>
+  std::uint64_t* replay(std::uint64_t* ws, std::size_t width, const Mul& mul,
+                        const Sqr& sqr) const;
 
   std::shared_ptr<const bn::MontgomeryContext> ctx_;
   bn::BigUInt exponent_;

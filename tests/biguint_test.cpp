@@ -65,6 +65,26 @@ TEST(BigUInt, BytesOfZeroIsEmpty) {
   EXPECT_TRUE(BigUInt::from_bytes({}).is_zero());
 }
 
+TEST(BigUInt, FromBytesMatchesHornerReference) {
+  ChaCha20Rng rng(12);
+  for (std::size_t len = 0; len <= 65; ++len) {
+    for (std::size_t leading_zeros : {0u, 1u, 9u}) {
+      std::vector<std::uint8_t> bytes(len);
+      for (std::size_t i = 0; i < len; ++i) {
+        bytes[i] = i < leading_zeros
+                       ? 0
+                       : static_cast<std::uint8_t>(rng.next_u64());
+      }
+      BigUInt horner;
+      for (std::uint8_t b : bytes) horner = horner * BigUInt(256) + BigUInt(b);
+      const BigUInt v = BigUInt::from_bytes(bytes);
+      EXPECT_EQ(v, horner) << "len " << len << ", zeros " << leading_zeros;
+      // Canonical: the top limb is nonzero, so equal values compare equal.
+      EXPECT_EQ(v.limbs().size(), (v.bit_length() + 63) / 64);
+    }
+  }
+}
+
 TEST(BigUInt, Ordering) {
   BigUInt a = BigUInt::from_hex("ffffffffffffffff");           // 64 bits
   BigUInt b = BigUInt::from_hex("10000000000000000");          // 65 bits

@@ -87,7 +87,7 @@ TEST_F(ModExpEngineTest, BatchMatchesElementwiseAcrossSizesAndKeys) {
     auto ctx = make_ctx(domain.p);
     bn::BigUInt e = bn::BigUInt::random_below(rng, domain.p);
     ModExpEngine engine(ctx, e);
-    for (std::size_t count : {0u, 1u, 7u, 33u, 130u}) {
+    for (std::size_t count : {0u, 1u, 2u, 7u, 8u, 9u, 16u, 17u, 33u, 130u}) {
       std::vector<bn::BigUInt> batch(count);
       std::vector<bn::BigUInt> expected(count);
       for (std::size_t i = 0; i < count; ++i) {

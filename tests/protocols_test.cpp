@@ -10,6 +10,7 @@
 #include "audit/metrics.hpp"
 #include "crypto/modexp_engine.hpp"
 #include "crypto/pohlig_hellman.hpp"
+#include "crypto/rng.hpp"
 #include "logm/workload.hpp"
 #include "net/bytes.hpp"
 
@@ -932,6 +933,64 @@ TEST_F(IntegrityFixture, AclInconsistencyDetected) {
   cluster.run();
   ASSERT_TRUE(consistent.has_value());
   EXPECT_FALSE(*consistent);
+}
+
+// ------------------------------------------------ gateway result decoding --
+
+// The gateway certifies only glsns an owner encoded. The terminal kSetResult
+// of a cross query is held back and re-sent with one element replaced by a
+// random value in [1, p-1], as a wrong key at one hop or a tampered chunk
+// would leave it: the query fails and the gateway counts a ring reject,
+// where a lax decoder would certify a glsn nobody wrote.
+TEST(GatewayDecode, FabricatedElementInTheResultFailsTheQuery) {
+  Cluster cluster(Cluster::Options{logm::paper_schema(), 4, 1,
+                                   logm::paper_partition(), /*seed=*/42,
+                                   /*auditor_users=*/true,
+                                   /*certify_reports=*/true});
+  for (const auto& rec : logm::paper_table1_records()) {
+    cluster.user(0).log_record(cluster.sim(), rec.attrs,
+                               [](std::optional<logm::Glsn>) {});
+  }
+  cluster.run();
+
+  std::optional<net::Message> held;
+  cluster.sim().set_drop_policy([&](const net::Message& m) {
+    if (m.type != kSetResult || held) return false;
+    held = m;
+    return true;
+  });
+  std::optional<QueryOutcome> outcome;
+  cluster.user(0).query(cluster.sim(), "id = 'U1' AND protocl = 'UDP'",
+                        [&](QueryOutcome o) { outcome = std::move(o); });
+  while (!held && cluster.sim().step()) {
+  }
+  ASSERT_TRUE(held.has_value());
+  cluster.sim().set_drop_policy(nullptr);
+
+  net::Reader r(held->payload);
+  const SessionId session = r.u64();
+  std::vector<bn::BigUInt> elements = decode_elements(r);
+  r.expect_end();
+  ASSERT_EQ(elements.size(), 2u);
+  const bn::BigUInt& p = cluster.config()->ph_domain.p;
+  crypto::ChaCha20Rng rng(7);
+  elements[1] = bn::BigUInt::random_below(rng, p - bn::BigUInt(1)) +
+                bn::BigUInt(1);
+  net::Writer w;
+  w.u64(session);
+  encode_elements(w, elements);
+  cluster.sim().send(held->src, held->dst, kSetResult, std::move(w).take());
+  cluster.run();
+
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_FALSE(outcome->ok);
+  EXPECT_FALSE(outcome->certified);
+  EXPECT_TRUE(outcome->glsns.empty());
+  std::uint64_t rejects = 0;
+  for (std::size_t i = 0; i < cluster.dla_count(); ++i) {
+    rejects += cluster.dla(i).set_ring_rejects();
+  }
+  EXPECT_EQ(rejects, 1u);
 }
 
 }  // namespace

@@ -76,24 +76,31 @@ TEST(Wire, CmpSpecTransformVisibility) {
 
 TEST(Wire, GlsnElementRoundTrip) {
   for (logm::Glsn g : {logm::Glsn{0}, logm::Glsn{1}, logm::Glsn{0x139aef78},
-                       logm::Glsn{UINT32_MAX}}) {
-    bn::BigUInt e = encode_glsn_element(g, "");
+                       logm::Glsn{UINT32_MAX}, logm::Glsn{UINT64_MAX - 1}}) {
+    bn::BigUInt e = encode_glsn_element(g);
     EXPECT_EQ(decode_glsn_element(e), g);
+    // Fits the 256-bit Pohlig-Hellman domain.
+    EXPECT_LT(e.bit_length(), 256u);
   }
 }
 
-TEST(Wire, GlsnElementBindsValue) {
-  // Same glsn, different attribute value -> different element (so the
-  // equality join matches only when both glsn AND value agree).
-  bn::BigUInt a = encode_glsn_element(7, "t:U1");
-  bn::BigUInt b = encode_glsn_element(7, "t:U2");
-  bn::BigUInt c = encode_glsn_element(8, "t:U1");
-  EXPECT_NE(a, b);
-  EXPECT_NE(a, c);
-  EXPECT_EQ(decode_glsn_element(a), 7u);
-  EXPECT_EQ(decode_glsn_element(b), 7u);
-  // And fits the 256-bit Pohlig-Hellman domain.
-  EXPECT_LT(a.bit_length(), 256u);
+TEST(Wire, GlsnElementValueIsPinned) {
+  // (glsn + 1) << 160 | the low 160 bits of SHA-256("").
+  EXPECT_EQ(encode_glsn_element(0x139aef78),
+            bn::BigUInt::from_hex(
+                "139aef79996fb92427ae41e4649b934ca495991b7852b855"));
+}
+
+TEST(Wire, GlsnElementDecodeRejectsForeignValues) {
+  const bn::BigUInt e = encode_glsn_element(7);
+  const bn::BigUInt tail = e - (bn::BigUInt(8) << 160);
+  EXPECT_EQ(decode_glsn_element(e + bn::BigUInt(1)), std::nullopt);  // tail
+  EXPECT_EQ(decode_glsn_element(tail), std::nullopt);       // high part 0
+  EXPECT_EQ(decode_glsn_element((bn::BigUInt(1) << 224) + tail),
+            std::nullopt);                                  // high part 2^64
+  EXPECT_EQ(decode_glsn_element(bn::BigUInt(0)), std::nullopt);
+  EXPECT_EQ(decode_glsn_element((bn::BigUInt(UINT64_MAX) << 160) + tail),
+            UINT64_MAX - 1);                                // high 2^64 - 1
 }
 
 TEST(Wire, EnumRenderings) {
