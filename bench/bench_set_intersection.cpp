@@ -195,6 +195,71 @@ void BM_PohligHellmanEncryptBatch(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 
+// The 512-bit safe prime PhDomain::generate draws from ChaCha20Rng(5), the
+// domain BM_PohligHellmanEncrypt/512 builds. Written out because generating
+// it takes ~20 s, too long for the smoke run below.
+crypto::PhDomain ph_domain_512() {
+  return crypto::PhDomain{bn::BigUInt::from_hex(
+      "ff08276bbadea3a80c6a1200338a0d5b2d8eb2dd6586cb4252c135c300efc72f"
+      "dce8f0396b79e09e97e797bd11c70dc9d5a649c5b323341bce7fd52eaaa6785b")};
+}
+
+// The modular inverses the query path pays. range(0) = 0, 1: d = e^-1 mod
+// p - 1 for a fresh odd session exponent e over the 256-bit (fixed256) and
+// 512-bit domains, once per ring session and node. range(0) = 2, 3: the
+// threshold-signing Lagrange denominators 2 and q - 1 mod q, q = (p - 1) / 2
+// of fixed256, which a gateway inverts for the signer set {1, 2, 3}.
+void BM_ModInverse(benchmark::State& state) {
+  const bn::BigUInt one(1);
+  const bn::BigUInt p256 = crypto::PhDomain::fixed256().p;
+  const bn::BigUInt q = (p256 - one) >> 1;
+  bn::BigUInt m;
+  std::vector<bn::BigUInt> inputs;
+  switch (state.range(0)) {
+    case 0:
+    case 1: {
+      m = (state.range(0) == 0 ? p256 : ph_domain_512().p) - one;
+      crypto::ChaCha20Rng rng(7);
+      for (int i = 0; i < 64; ++i) {
+        bn::BigUInt e = bn::BigUInt::random_below(rng, m);
+        inputs.push_back(e.is_odd() ? e : e + one);  // < m, as m is even
+      }
+      state.SetLabel(state.range(0) == 0 ? "odd e mod p-1, 256-bit"
+                                         : "odd e mod p-1, 512-bit");
+      break;
+    }
+    case 2:
+      m = q;
+      inputs = {bn::BigUInt(2)};
+      state.SetLabel("2 mod q");
+      break;
+    default:
+      m = q;
+      inputs = {q - one};
+      state.SetLabel("q-1 mod q");
+      break;
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bn::BigUInt::modinv(inputs[i], m));
+    if (++i == inputs.size()) i = 0;
+  }
+}
+
+// One node's key pair for one ring session: PhKey::generate draws e until
+// e^-1 mod p - 1 exists, then builds the Montgomery context and the window
+// schedules of e and d.
+void BM_PohligHellmanKeygen(benchmark::State& state) {
+  const std::size_t bits = static_cast<std::size_t>(state.range(0));
+  const crypto::PhDomain domain =
+      bits == 256 ? crypto::PhDomain::fixed256() : ph_domain_512();
+  crypto::ChaCha20Rng rng(11);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::PhKey::generate(domain, rng));
+  }
+  state.counters["prime_bits"] = static_cast<double>(bits);
+}
+
 // --------------------------------------------------- --ringpipe mode -----
 
 struct RingpipeRun {
@@ -357,6 +422,13 @@ BENCHMARK(BM_PohligHellmanEncryptBatch)
     ->Args({256, 128})
     ->Args({256, 1024})
     ->Args({512, 128});
+
+BENCHMARK(BM_ModInverse)->Unit(benchmark::kMicrosecond)->DenseRange(0, 3);
+
+BENCHMARK(BM_PohligHellmanKeygen)
+    ->Unit(benchmark::kMicrosecond)
+    ->Arg(256)
+    ->Arg(512);
 
 int main(int argc, char** argv) {
   bool ringpipe = false;

@@ -69,6 +69,16 @@ void DlaNode::configure(ConfigPtr cfg, std::size_t index) {
   index_ = index;
   tickets_.emplace(cfg_->ticket_key);
   accum_stepper_.emplace(cfg_->accum_params);
+  signer_set_.clear();
+  signer_lambdas_.clear();
+  if (cfg_->threshold_params.has_value() && cfg_->sign_threshold_k >= 1 &&
+      cfg_->sign_threshold_k <= cfg_->cluster_size()) {
+    for (std::uint32_t i = 1; i <= cfg_->sign_threshold_k; ++i) {
+      signer_set_.push_back(i);
+    }
+    signer_lambdas_ =
+        crypto::lagrange_coefficients(*cfg_->threshold_params, signer_set_);
+  }
 }
 
 SessionId DlaNode::fresh_session() {
@@ -2118,19 +2128,14 @@ void DlaNode::finish_query(net::Transport& sim, QueryState& qs,
   // Threshold certification: when the cluster has a shared signing key,
   // collect a (k, n) Schnorr signature over the report before replying —
   // the user can then prove k nodes vouched for this exact result.
-  if (cfg_->threshold_params.has_value() && signing_share_.has_value() &&
-      cfg_->sign_threshold_k >= 1 &&
-      cfg_->sign_threshold_k <= cfg_->cluster_size()) {
+  if (!signer_set_.empty() && signing_share_.has_value()) {
     SignState st;
     st.qid = qs.qid;
     st.glsns = glsns;
     st.message = report_message(qs.user_reqid, glsns);
-    for (std::uint32_t i = 1; i <= cfg_->sign_threshold_k; ++i) {
-      st.signer_set.push_back(i);
-    }
     SessionId sid = qs.qid;
     sign_state_[sid] = std::move(st);
-    for (std::uint32_t i : sign_state_[sid].signer_set) {
+    for (std::uint32_t i : signer_set_) {
       net::Writer w;
       w.u64(sid);
       w.str(sign_state_[sid].message);
@@ -2300,22 +2305,20 @@ void DlaNode::handle_sign_nonce(net::Transport& sim, const net::Message& msg) {
   if (it == sign_state_.end() || it->second.challenged) return;
   SignState& st = it->second;
   st.nonces[index] = std::move(nonce_r);
-  if (st.nonces.size() < st.signer_set.size()) return;
+  if (st.nonces.size() < signer_set_.size()) return;
   st.challenged = true;
   std::vector<bn::BigUInt> rs;
   rs.reserve(st.nonces.size());
   for (const auto& [idx, ri] : st.nonces) rs.push_back(ri);
   st.r = crypto::combine_commitments(*cfg_->threshold_params, rs);
   st.c = crypto::challenge(*cfg_->threshold_params, st.r, st.message);
-  for (std::uint32_t idx : st.signer_set) {
-    bn::BigUInt lambda =
-        crypto::lagrange_at_zero(*cfg_->threshold_params, st.signer_set, idx);
+  for (std::size_t i = 0; i < signer_set_.size(); ++i) {
     net::Writer w;
     w.u64(sid);
     w.big(st.c);
-    w.big(lambda);
-    send_payload(sim, id(), cfg_->dla_nodes[idx - 1], kSignChallenge,
-                 std::move(w));
+    w.big(signer_lambdas_[i]);
+    send_payload(sim, id(), cfg_->dla_nodes[signer_set_[i] - 1],
+                 kSignChallenge, std::move(w));
   }
 }
 
@@ -2357,7 +2360,7 @@ void DlaNode::handle_sign_share(net::Transport& sim, const net::Message& msg) {
     return;
   }
   st.s_shares.push_back(std::move(s));
-  if (st.s_shares.size() < st.signer_set.size()) return;
+  if (st.s_shares.size() < signer_set_.size()) return;
   crypto::ThresholdSignature sig =
       crypto::combine_signature(*cfg_->threshold_params, st.r, st.s_shares);
   auto qit = queries_.find(st.qid);

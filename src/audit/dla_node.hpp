@@ -581,11 +581,15 @@ class DlaNode : public net::Node {
   // threshold report certification.
   std::optional<crypto::SignerShare> signing_share_;
   std::map<SessionId, bn::BigUInt> sign_nonces_;  // signer side: sid -> k
-  struct SignState {                               // gateway/coordinator side
+  // The signer set {1..k} (1-based indices) a certifying gateway asks, and
+  // each member's Lagrange coefficient at zero, fixed by configure(). Both
+  // are empty when the cluster does not certify reports.
+  std::vector<std::uint32_t> signer_set_;
+  std::vector<bn::BigUInt> signer_lambdas_;
+  struct SignState {  // gateway/coordinator side
     std::uint64_t qid = 0;
     std::string message;
     std::vector<logm::Glsn> glsns;
-    std::vector<std::uint32_t> signer_set;           // 1-based indices
     std::map<std::uint32_t, bn::BigUInt> nonces;     // index -> R_i
     std::vector<bn::BigUInt> s_shares;
     std::set<std::uint32_t> share_from;  // signer indices already counted

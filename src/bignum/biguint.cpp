@@ -1,6 +1,7 @@
 #include "bignum/biguint.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <ostream>
 #include <stdexcept>
@@ -19,6 +20,237 @@ int hex_digit(char c) {
   if (c >= 'a' && c <= 'f') return c - 'a' + 10;
   if (c >= 'A' && c <= 'F') return c - 'A' + 10;
   return -1;
+}
+
+// Number of limbs of w[0, n) up to and including the top nonzero one.
+std::size_t used_limbs(const u64* w, std::size_t n) {
+  while (n > 0 && w[n - 1] == 0) --n;
+  return n;
+}
+
+// dst[0, n) = src[0, n) << s for n >= 1, s < 64; returns the bits shifted
+// out of the top limb. dst may equal src.
+u64 shl_limbs(const u64* src, std::size_t n, unsigned s, u64* dst) {
+  const u64 out = s == 0 ? 0 : src[n - 1] >> (kLimbBits - s);
+  for (std::size_t i = n; i-- > 0;) {
+    const u64 low = (s == 0 || i == 0) ? 0 : src[i - 1] >> (kLimbBits - s);
+    dst[i] = (src[i] << s) | low;
+  }
+  return out;
+}
+
+// dst[0, n) = src[0, n) >> s for s < 64. dst may equal src.
+void shr_limbs(const u64* src, std::size_t n, unsigned s, u64* dst) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const u64 high = (s == 0 || i + 1 == n) ? 0 : src[i + 1] << (kLimbBits - s);
+    dst[i] = (src[i] >> s) | high;
+  }
+}
+
+// Divides u[0, n) by the word d != 0: quotient to q[0, n), remainder
+// returned.
+u64 divide_by_limb(const u64* u, std::size_t n, u64 d, u64* q) {
+  u128 rem = 0;
+  for (std::size_t i = n; i-- > 0;) {
+    const u128 cur = (rem << kLimbBits) | u[i];
+    q[i] = static_cast<u64>(cur / d);
+    rem = cur - static_cast<u128>(q[i]) * d;
+  }
+  return static_cast<u64>(rem);
+}
+
+// Knuth Algorithm D. v[0, nv), nv >= 2, is the divisor shifted so its top
+// bit is set; u[0, nu + 1) is the dividend under the same shift (u[nu] takes
+// the bits shifted out). Writes the quotient to q[0, nu - nv + 1) and leaves
+// the remainder, still shifted, in u[0, nv).
+void divide_normalised(u64* u, std::size_t nu, const u64* v, std::size_t nv,
+                       u64* q) {
+  const u64 vtop = v[nv - 1];
+  const u64 vsecond = v[nv - 2];
+  for (std::size_t j = nu - nv + 1; j-- > 0;) {
+    // Estimate qhat from the top two dividend limbs against vtop.
+    u128 numerator = (static_cast<u128>(u[j + nv]) << kLimbBits) | u[j + nv - 1];
+    u128 qhat = numerator / vtop;
+    u128 rhat = numerator % vtop;
+    while (qhat >= (static_cast<u128>(1) << kLimbBits) ||
+           qhat * vsecond > ((rhat << kLimbBits) | u[j + nv - 2])) {
+      --qhat;
+      rhat += vtop;
+      if (rhat >= (static_cast<u128>(1) << kLimbBits)) break;
+    }
+    // Multiply-and-subtract u[j..j+nv] -= qhat * v.
+    u128 borrow = 0;
+    u128 carry = 0;
+    for (std::size_t i = 0; i < nv; ++i) {
+      u128 prod = qhat * v[i] + carry;
+      carry = prod >> kLimbBits;
+      u64 plo = static_cast<u64>(prod);
+      u128 sub = static_cast<u128>(plo) + borrow;
+      if (static_cast<u128>(u[j + i]) >= sub) {
+        u[j + i] = static_cast<u64>(u[j + i] - sub);
+        borrow = 0;
+      } else {
+        u[j + i] = static_cast<u64>((static_cast<u128>(1) << kLimbBits) +
+                                    u[j + i] - sub);
+        borrow = 1;
+      }
+    }
+    u128 top_sub = carry + borrow;
+    bool went_negative = static_cast<u128>(u[j + nv]) < top_sub;
+    u[j + nv] = static_cast<u64>(static_cast<u128>(u[j + nv]) - top_sub);
+    if (went_negative) {
+      // qhat was one too large; add v back once.
+      --qhat;
+      u128 add_carry = 0;
+      for (std::size_t i = 0; i < nv; ++i) {
+        u128 sum = static_cast<u128>(u[j + i]) + v[i] + add_carry;
+        u[j + i] = static_cast<u64>(sum);
+        add_carry = sum >> kLimbBits;
+      }
+      u[j + nv] = static_cast<u64>(u[j + nv] + add_carry);
+    }
+    q[j] = static_cast<u64>(qhat);
+  }
+}
+
+// --- modinv ---------------------------------------------------------------
+//
+// The 2x2 matrix of a run of Euclid steps on a pair (A, B), with every entry
+// stored as a magnitude: afterwards the pair is (a*A - b*B, d*B - c*A) when
+// the run has an even number of steps and (b*B - a*A, c*A - d*B) when odd.
+// The cofactors of the input follow the same recurrence and alternate in
+// sign, so on their magnitudes the run reads (a*tA + b*tB, c*tA + d*tB).
+struct Cosequence {
+  u64 a = 1, b = 0, c = 0, d = 1;
+  bool odd = false;
+
+  // One more step with quotient q: (A, B) <- (B, A - q*B).
+  void step(u64 q) {
+    const u64 a0 = a, b0 = b;
+    a = c;
+    b = d;
+    c = a0 + q * c;
+    d = b0 + q * d;
+    odd = !odd;
+  }
+};
+
+// One Euclid step (x, y) -> (y, x mod y) on words, x >= y > 0; returns the
+// quotient. Two in five quotients are 1, so try the subtraction first.
+u64 word_step(u64& x, u64& y) {
+  u64 q = 1;
+  u64 r = x - y;
+  if (r >= y) {
+    q = x / y;
+    r = x - q * y;
+  }
+  x = y;
+  y = r;
+  return q;
+}
+
+// Lehmer's simulation: Euclid steps on x and y, the leading 64 bits of A and
+// B under one shift (A > B), kept only while Collins' condition proves each
+// quotient is the one the full values give (Jebelean, "Improving the
+// multiprecision Euclidean algorithm", DISCO 1993). Returns the identity
+// when not even the first quotient is certain.
+Cosequence lehmer_run(u64 x, u64 y) {
+  Cosequence run;
+  if (y == 0 || x == y) return run;
+  for (;;) {
+    Cosequence next = run;
+    u64 nx = x, ny = y;
+    next.step(word_step(nx, ny));
+    // Keep the step iff ny >= d and nx - ny >= b + d (no overflow: nx > ny).
+    if (ny < next.d || nx - ny < next.d || nx - ny - next.d < next.b) break;
+    run = next;
+    x = nx;
+    y = ny;
+  }
+  return run;
+}
+
+// Every Euclid step on words x > y down to y == 0; x ends as the gcd.
+Cosequence word_euclid(u64& x, u64& y) {
+  Cosequence run;
+  while (y != 0) run.step(word_step(x, y));
+  return run;
+}
+
+// Streams x*P - y*Q one limb at a time, for a result known to be >= 0.
+struct MulSub {
+  u64 x, y;
+  u64 carry_p = 0, carry_q = 0, borrow = 0;
+
+  u64 next(u64 p, u64 q) {
+    const u128 sp = static_cast<u128>(x) * p + carry_p;
+    const u128 sq = static_cast<u128>(y) * q + carry_q;
+    carry_p = static_cast<u64>(sp >> kLimbBits);
+    carry_q = static_cast<u64>(sq >> kLimbBits);
+    const u64 lp = static_cast<u64>(sp), lq = static_cast<u64>(sq);
+    const u64 out = lp - lq - borrow;
+    borrow = (lp < lq || lp - lq < borrow) ? 1 : 0;
+    return out;
+  }
+};
+
+// Streams x*P + y*Q one limb at a time.
+struct MulAdd {
+  u64 x, y;
+  u64 carry_p = 0, carry_q = 0, carry = 0;
+
+  u64 next(u64 p, u64 q) {
+    const u128 sp = static_cast<u128>(x) * p + carry_p;
+    const u128 sq = static_cast<u128>(y) * q + carry_q;
+    carry_p = static_cast<u64>(sp >> kLimbBits);
+    carry_q = static_cast<u64>(sq >> kLimbBits);
+    const u128 sum = static_cast<u128>(static_cast<u64>(sp)) +
+                     static_cast<u64>(sq) + carry;
+    carry = static_cast<u64>(sum >> kLimbBits);
+    return static_cast<u64>(sum);
+  }
+};
+
+// (A, B) <- the run's combinations of (A, B), over the n limbs of A.
+void apply_to_remainders(const Cosequence& run, u64* A, u64* B,
+                         std::size_t n) {
+  // Even: A' = a*A - b*B, B' = d*B - c*A. Odd: A' = b*B - a*A,
+  // B' = c*A - d*B. With (p, q) = (A, B), or (B, A) when odd, both read
+  // A' = x*p - y*q and B' = x*q - y*p.
+  MulSub na = run.odd ? MulSub{run.b, run.a} : MulSub{run.a, run.b};
+  MulSub nb = run.odd ? MulSub{run.c, run.d} : MulSub{run.d, run.c};
+  for (std::size_t i = 0; i < n; ++i) {
+    const u64 p = run.odd ? B[i] : A[i];
+    const u64 q = run.odd ? A[i] : B[i];
+    A[i] = na.next(p, q);
+    B[i] = nb.next(q, p);
+  }
+}
+
+// (tA, tB) <- (a*tA + b*tB, c*tA + d*tB) over n limbs. Every cofactor of a
+// Euclid run on (m, x < m) is at most m, so nothing carries out of n limbs.
+void apply_to_cofactors(const Cosequence& run, u64* ta, u64* tb,
+                        std::size_t n) {
+  MulAdd na{run.a, run.b};
+  MulAdd nb{run.c, run.d};
+  for (std::size_t i = 0; i < n; ++i) {
+    const u64 x = ta[i], y = tb[i];
+    ta[i] = na.next(x, y);
+    tb[i] = nb.next(x, y);
+  }
+}
+
+// t[0, n) += q[0, nq) * s[0, n), for a sum known to fit in n limbs.
+void add_product(u64* t, const u64* q, std::size_t nq, const u64* s,
+                 std::size_t n) {
+  for (std::size_t j = 0; j < nq; ++j) {
+    u64 carry = 0;
+    for (std::size_t i = 0; i + j < n; ++i) {
+      const u128 cur = static_cast<u128>(q[j]) * s[i] + t[i + j] + carry;
+      t[i + j] = static_cast<u64>(cur);
+      carry = static_cast<u64>(cur >> kLimbBits);
+    }
+  }
 }
 
 }  // namespace
@@ -256,93 +488,30 @@ DivMod BigUInt::divmod(const BigUInt& dividend,
   if (cmp < 0) return {BigUInt{}, dividend};
   if (cmp == 0) return {BigUInt(1), BigUInt{}};
 
-  // Single-limb fast path.
-  if (divisor.limbs_.size() == 1) {
-    u64 d = divisor.limbs_[0];
-    BigUInt q;
-    q.limbs_.assign(dividend.limbs_.size(), 0);
-    u128 rem = 0;
-    for (std::size_t i = dividend.limbs_.size(); i-- > 0;) {
-      u128 cur = (rem << kLimbBits) | dividend.limbs_[i];
-      q.limbs_[i] = static_cast<u64>(cur / d);
-      rem = cur % d;
-    }
-    q.trim();
-    return {std::move(q), BigUInt(static_cast<u64>(rem))};
-  }
-
-  // Knuth Algorithm D. Normalise so the top divisor limb has its high bit set.
-  std::size_t n = divisor.limbs_.size();
-  std::size_t m = dividend.limbs_.size() - n;
-  int shift = 0;
-  {
-    u64 top = divisor.limbs_.back();
-    while (!(top & (1ull << (kLimbBits - 1)))) {
-      top <<= 1;
-      ++shift;
-    }
-  }
-  BigUInt u = dividend << static_cast<std::size_t>(shift);
-  BigUInt v = divisor << static_cast<std::size_t>(shift);
-  u.limbs_.resize(dividend.limbs_.size() + 1, 0);  // u has m+n+1 limbs
-
+  const std::size_t nu = dividend.limbs_.size();
+  const std::size_t nv = divisor.limbs_.size();
   BigUInt q;
-  q.limbs_.assign(m + 1, 0);
-  const u64 vtop = v.limbs_[n - 1];
-  const u64 vsecond = v.limbs_[n - 2];
-
-  for (std::size_t j = m + 1; j-- > 0;) {
-    // Estimate qhat from the top two dividend limbs against vtop.
-    u128 numerator =
-        (static_cast<u128>(u.limbs_[j + n]) << kLimbBits) | u.limbs_[j + n - 1];
-    u128 qhat = numerator / vtop;
-    u128 rhat = numerator % vtop;
-    while (qhat >= (static_cast<u128>(1) << kLimbBits) ||
-           qhat * vsecond >
-               ((rhat << kLimbBits) | u.limbs_[j + n - 2])) {
-      --qhat;
-      rhat += vtop;
-      if (rhat >= (static_cast<u128>(1) << kLimbBits)) break;
-    }
-    // Multiply-and-subtract u[j..j+n] -= qhat * v.
-    u128 borrow = 0;
-    u128 carry = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      u128 prod = qhat * v.limbs_[i] + carry;
-      carry = prod >> kLimbBits;
-      u64 plo = static_cast<u64>(prod);
-      u128 sub = static_cast<u128>(plo) + borrow;
-      if (static_cast<u128>(u.limbs_[j + i]) >= sub) {
-        u.limbs_[j + i] = static_cast<u64>(u.limbs_[j + i] - sub);
-        borrow = 0;
-      } else {
-        u.limbs_[j + i] = static_cast<u64>(
-            (static_cast<u128>(1) << kLimbBits) + u.limbs_[j + i] - sub);
-        borrow = 1;
-      }
-    }
-    u128 top_sub = carry + borrow;
-    bool went_negative = static_cast<u128>(u.limbs_[j + n]) < top_sub;
-    u.limbs_[j + n] = static_cast<u64>(static_cast<u128>(u.limbs_[j + n]) -
-                                       top_sub);
-    if (went_negative) {
-      // qhat was one too large; add v back once.
-      --qhat;
-      u128 add_carry = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        u128 sum = static_cast<u128>(u.limbs_[j + i]) + v.limbs_[i] + add_carry;
-        u.limbs_[j + i] = static_cast<u64>(sum);
-        add_carry = sum >> kLimbBits;
-      }
-      u.limbs_[j + n] = static_cast<u64>(u.limbs_[j + n] + add_carry);
-    }
-    q.limbs_[j] = static_cast<u64>(qhat);
+  q.limbs_.resize(nu - nv + 1);
+  if (nv == 1) {
+    BigUInt r(divide_by_limb(dividend.limbs_.data(), nu, divisor.limbs_[0],
+                             q.limbs_.data()));
+    q.trim();
+    return {std::move(q), std::move(r)};
   }
+
+  // Normalise so the top divisor limb has its high bit set.
+  const auto shift = static_cast<unsigned>(std::countl_zero(divisor.limbs_.back()));
+  std::vector<u64> v(nv);
+  shl_limbs(divisor.limbs_.data(), nv, shift, v.data());
+  BigUInt r;
+  r.limbs_.resize(nu + 1);
+  r.limbs_[nu] = shl_limbs(dividend.limbs_.data(), nu, shift, r.limbs_.data());
+  divide_normalised(r.limbs_.data(), nu, v.data(), nv, q.limbs_.data());
+  r.limbs_.resize(nv);
+  shr_limbs(r.limbs_.data(), nv, shift, r.limbs_.data());
   q.trim();
-  u.limbs_.resize(n);
-  u.trim();
-  u >>= static_cast<std::size_t>(shift);
-  return {std::move(q), std::move(u)};
+  r.trim();
+  return {std::move(q), std::move(r)};
 }
 
 BigUInt& BigUInt::operator/=(const BigUInt& rhs) {
@@ -375,7 +544,7 @@ BigUInt BigUInt::modexp(const BigUInt& base, const BigUInt& exponent,
 }
 
 BigUInt BigUInt::gcd(BigUInt a, BigUInt b) {
-  // Euclid; divmod dominates cost but inputs here are key-sized.
+  // Euclid over divmod; inputs here are key-sized.
   while (!b.is_zero()) {
     BigUInt r = a % b;
     a = std::move(b);
@@ -386,40 +555,98 @@ BigUInt BigUInt::gcd(BigUInt a, BigUInt b) {
 
 std::optional<BigUInt> BigUInt::modinv(const BigUInt& a, const BigUInt& m) {
   if (m.is_zero()) throw std::domain_error("BigUInt::modinv: zero modulus");
-  // Extended Euclid tracking only the coefficient of a. Coefficients may be
-  // negative, so track (value, sign) pairs explicitly.
-  BigUInt r0 = a % m, r1 = m;
-  BigUInt s0(1), s1;
-  bool s0_neg = false, s1_neg = false;
-  while (!r1.is_zero()) {
-    auto [q, r2] = divmod(r0, r1);
-    // s2 = s0 - q * s1
-    BigUInt qs1 = q * s1;
-    BigUInt s2;
-    bool s2_neg;
-    if (s0_neg == s1_neg) {
-      if (s0 >= qs1) {
-        s2 = s0 - qs1;
-        s2_neg = s0_neg;
-      } else {
-        s2 = qs1 - s0;
-        s2_neg = !s0_neg;
-      }
-    } else {
-      s2 = s0 + qs1;
-      s2_neg = s0_neg;
-    }
-    r0 = std::move(r1);
-    r1 = std::move(r2);
-    s0 = std::move(s1);
-    s0_neg = s1_neg;
-    s1 = std::move(s2);
-    s1_neg = s2_neg;
+  // An even a shares the factor 2 with an even m: half of all candidates
+  // for an exponent mod p - 1 stop here.
+  if (a.is_even() && m.is_even()) return std::nullopt;
+  if (m == BigUInt(1)) return BigUInt{};
+
+  // Extended Euclid on (A, B) = (m, a mod m), tracking only the cofactor of
+  // a: A = tA * a and B = tB * a (mod m). The cofactors alternate in sign,
+  // so tA and tB hold magnitudes and ta_neg the sign of tA. All of them fit
+  // in n limbs, and so does every buffer below: A, B, tA, tB, and the
+  // fallback division's shifted dividend U (n + 1 limbs), divisor V and
+  // quotient Q.
+  const std::size_t n = m.limbs_.size();
+  std::vector<u64> work(7 * n + 1, 0);
+  u64* A = work.data();
+  u64* B = A + n;
+  u64* ta = B + n;
+  u64* tb = ta + n;
+  u64* U = tb + n;
+  u64* V = U + n + 1;
+  u64* Q = V + n;
+  std::copy(m.limbs_.begin(), m.limbs_.end(), A);
+  if (a < m) {
+    std::copy(a.limbs_.begin(), a.limbs_.end(), B);
+  } else {
+    const BigUInt r = a % m;
+    std::copy(r.limbs_.begin(), r.limbs_.end(), B);
   }
-  if (r0 != BigUInt(1)) return std::nullopt;
-  BigUInt inv = s0 % m;
-  if (s0_neg && !inv.is_zero()) inv = m - inv;
-  return inv;
+  tb[0] = 1;
+  bool ta_neg = true;  // tA = 0 <= tB = 1
+  std::size_t na = n;
+  std::size_t nb = used_limbs(B, n);
+
+  while (na >= 2 && nb >= 1) {
+    if (nb >= 2) {
+      // Lehmer step on the leading 64 bits of A and B (B zero above nb).
+      const auto h = static_cast<unsigned>(std::countl_zero(A[na - 1]));
+      const u64 x = h == 0 ? A[na - 1]
+                           : (A[na - 1] << h) | (A[na - 2] >> (kLimbBits - h));
+      const u64 y = h == 0 ? B[na - 1]
+                           : (B[na - 1] << h) | (B[na - 2] >> (kLimbBits - h));
+      const Cosequence run = lehmer_run(x, y);
+      if (run.b != 0) {
+        apply_to_remainders(run, A, B, na);
+        apply_to_cofactors(run, ta, tb, n);
+        ta_neg ^= run.odd;
+        na = used_limbs(A, na);
+        nb = used_limbs(B, na);
+        continue;
+      }
+    }
+    // One step on the full values, when B has one limb or the first quotient
+    // is too large for the leading words: (A, B) <- (B, A mod B) and
+    // tA += (A / B) * tB.
+    if (nb == 1) {
+      const u64 r = divide_by_limb(A, na, B[0], Q);
+      std::fill(A, A + na, 0);
+      A[0] = r;
+    } else {
+      const auto s = static_cast<unsigned>(std::countl_zero(B[nb - 1]));
+      shl_limbs(B, nb, s, V);
+      U[na] = shl_limbs(A, na, s, U);
+      divide_normalised(U, na, V, nb, Q);
+      shr_limbs(U, nb, s, A);
+      std::fill(A + nb, A + na, 0);
+    }
+    add_product(ta, Q, used_limbs(Q, na - nb + 1), tb, n);
+    std::swap(A, B);
+    std::swap(ta, tb);
+    ta_neg = !ta_neg;
+    na = nb;
+    nb = used_limbs(B, na);
+  }
+  if (na == 1) {
+    // Both fit in a word: finish exactly on words.
+    const Cosequence run = word_euclid(A[0], B[0]);
+    apply_to_cofactors(run, ta, tb, n);
+    ta_neg ^= run.odd;
+  }
+  if (na != 1 || A[0] != 1) return std::nullopt;
+
+  // The inverse is tA, or m - tA when tA is negative (|tA| < m either way).
+  std::vector<u64> inv(ta, ta + n);
+  if (ta_neg) {
+    u64 borrow = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const u64 mi = m.limbs_[i];
+      const u64 ti = inv[i];
+      inv[i] = mi - ti - borrow;
+      borrow = (mi < ti || mi - ti < borrow) ? 1 : 0;
+    }
+  }
+  return from_limbs(std::move(inv));
 }
 
 BigUInt BigUInt::random_bits(RandomSource& rng, std::size_t bits) {

@@ -101,9 +101,14 @@ class BigUInt {
   // m must be nonzero; returns 0 when m == 1.
   static BigUInt modexp(const BigUInt& base, const BigUInt& exponent,
                         const BigUInt& m);
-  // Greatest common divisor (binary GCD).
+  // Greatest common divisor (Euclid over divmod).
   static BigUInt gcd(BigUInt a, BigUInt b);
-  // Multiplicative inverse of a modulo m, if gcd(a, m) == 1.
+  // Multiplicative inverse of a modulo m in [0, m), if gcd(a, m) == 1
+  // (so 0 for every a when m == 1); m must be nonzero. Lehmer's extended
+  // Euclid: runs of single-word steps on the leading 64 bits, checked by
+  // Collins' condition, applied as 2x2 cosequence matrices to fixed-width
+  // limb buffers, allocating per call but not per step. An even a modulo
+  // an even m returns nullopt at once. About 1 us at 256 bits.
   static std::optional<BigUInt> modinv(const BigUInt& a, const BigUInt& m);
 
   // Uniform sample from [0, bound) via rejection sampling. bound must be > 0.

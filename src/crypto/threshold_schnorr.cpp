@@ -103,6 +103,17 @@ bn::BigUInt lagrange_at_zero(const ThresholdParams& params,
   return field.mul(num, *den_inv);
 }
 
+std::vector<bn::BigUInt> lagrange_coefficients(
+    const ThresholdParams& params,
+    const std::vector<std::uint32_t>& signer_set) {
+  std::vector<bn::BigUInt> out;
+  out.reserve(signer_set.size());
+  for (std::uint32_t index : signer_set) {
+    out.push_back(lagrange_at_zero(params, signer_set, index));
+  }
+  return out;
+}
+
 bn::BigUInt response_share(const ThresholdParams& params,
                            const SignerShare& share,
                            const bn::BigUInt& nonce_k, const bn::BigUInt& c,

@@ -77,6 +77,11 @@ bn::BigUInt challenge(const ThresholdParams& params, const bn::BigUInt& r,
 bn::BigUInt lagrange_at_zero(const ThresholdParams& params,
                              const std::vector<std::uint32_t>& signer_set,
                              std::uint32_t index);
+// Every member's coefficient, in set order: entry i is
+// lagrange_at_zero(params, signer_set, signer_set[i]). A coordinator whose
+// signer set never changes computes them once.
+std::vector<bn::BigUInt> lagrange_coefficients(
+    const ThresholdParams& params, const std::vector<std::uint32_t>& signer_set);
 
 // Round 2: one signer's response share.
 bn::BigUInt response_share(const ThresholdParams& params,

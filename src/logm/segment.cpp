@@ -56,8 +56,7 @@ std::uint64_t write_segment_file(const std::string& path, std::uint64_t seq,
     }
   }
 
-  std::vector<std::uint8_t> body;
-  body.insert(body.end(), kMagic, kMagic + 8);
+  std::vector<std::uint8_t> body(kMagic, kMagic + 8);
   put_u64(body, seq);
   put_u64(body, fragments.size());
   put_u64(body, tombstones.size());

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
+#include <vector>
 
 #include "crypto/rng.hpp"
 
@@ -241,6 +243,102 @@ TEST(BigUInt, ModInvRoundTrip) {
 TEST(BigUInt, ModInvNonCoprimeFails) {
   EXPECT_FALSE(BigUInt::modinv(BigUInt(6), BigUInt(9)).has_value());
   EXPECT_FALSE(BigUInt::modinv(BigUInt{}, BigUInt(9)).has_value());
+}
+
+// Extended Euclid on whole BigUInts, one divmod per quotient and the signed
+// cofactor of a as (magnitude, sign): the plain algorithm the word-level
+// modinv must agree with on every input.
+std::optional<BigUInt> euclid_modinv_reference(const BigUInt& a,
+                                               const BigUInt& m) {
+  BigUInt r0 = a % m, r1 = m;
+  BigUInt s0(1), s1;
+  bool s0_neg = false, s1_neg = false;
+  while (!r1.is_zero()) {
+    auto [q, r2] = BigUInt::divmod(r0, r1);
+    // s2 = s0 - q * s1
+    BigUInt qs1 = q * s1;
+    BigUInt s2;
+    bool s2_neg;
+    if (s0_neg == s1_neg) {
+      if (s0 >= qs1) {
+        s2 = s0 - qs1;
+        s2_neg = s0_neg;
+      } else {
+        s2 = qs1 - s0;
+        s2_neg = !s0_neg;
+      }
+    } else {
+      s2 = s0 + qs1;
+      s2_neg = s0_neg;
+    }
+    r0 = std::move(r1);
+    r1 = std::move(r2);
+    s0 = std::move(s1);
+    s0_neg = s1_neg;
+    s1 = std::move(s2);
+    s1_neg = s2_neg;
+  }
+  if (r0 != BigUInt(1)) return std::nullopt;
+  BigUInt inv = s0 % m;
+  if (s0_neg && !inv.is_zero()) inv = m - inv;
+  return inv;
+}
+
+TEST(BigUInt, ModInvMatchesEuclidReference) {
+  ChaCha20Rng rng(19);
+  const BigUInt ph_p = BigUInt::from_hex(
+      "dc9db496edbc0c1c97972e233e1a191fdb56a14df65a307ca1cea9ebe0fb9b93");
+  const BigUInt p128 = BigUInt::from_hex("b253d0f212cac9fb474dbafa53e183bf");
+  const BigUInt one(1);
+  std::vector<BigUInt> moduli = {
+      BigUInt(1), BigUInt(2), BigUInt(3),
+      ph_p - one,                        // fixed256's p - 1 = 2q
+      (ph_p - one) >> 1,                 // q, the Lagrange modulus
+      (ph_p - one) * (p128 - one),       // RSA-style (p - 1)(q - 1)
+  };
+  for (std::size_t k : {1u, 2u, 8u, 63u, 64u, 65u, 128u, 256u, 512u, 1024u,
+                        1099u}) {
+    moduli.push_back(one << k);
+  }
+  for (std::size_t bits : {5u, 63u, 64u, 100u, 128u, 192u, 256u, 257u, 512u,
+                           700u, 1024u, 1100u}) {
+    BigUInt m = BigUInt::random_bits(rng, bits);
+    moduli.push_back(m.is_odd() ? m : m + one);  // odd
+    moduli.push_back(m.is_odd() ? m - one : m);  // even
+  }
+  std::size_t checked = 0, invertible = 0;
+  auto check = [&](const BigUInt& a, const BigUInt& m) {
+    const auto got = BigUInt::modinv(a, m);
+    EXPECT_EQ(got, euclid_modinv_reference(a, m))
+        << a.to_hex() << " mod " << m.to_hex();
+    ++checked;
+    if (got.has_value()) ++invertible;
+  };
+  for (const BigUInt& m : moduli) {
+    const std::size_t bits = m.bit_length();
+    std::vector<BigUInt> inputs = {BigUInt{}, one, m - one, m, m + one,
+                                   m + m, BigUInt(2), BigUInt(65537)};
+    for (std::size_t extra : {1u, 64u, 130u}) {
+      inputs.push_back(BigUInt::random_bits(rng, bits + extra));
+    }
+    for (int i = 0; i < 8; ++i) inputs.push_back(BigUInt::random_below(rng, m));
+    for (const BigUInt& a : inputs) check(a, m);
+    // gcd 2, gcd 3 with both operands odd, and a large shared factor.
+    const BigUInt f = BigUInt::random_bits(rng, 1 + bits / 2);
+    check(BigUInt(2) * BigUInt::random_bits(rng, bits), BigUInt(2) * m);
+    check(BigUInt(3) * (BigUInt::random_bits(rng, bits) * BigUInt(2) + one),
+          BigUInt(3) * (m.is_odd() ? m : m + one));
+    check(f * BigUInt::random_bits(rng, bits), f * m);
+  }
+  // Consecutive Fibonacci numbers: the longest runs of quotient 1.
+  BigUInt f0(1), f1(2);
+  for (int i = 0; i < 1500; ++i) {
+    BigUInt f2 = f0 + f1;
+    f0 = std::move(f1);
+    f1 = std::move(f2);
+    if (i % 50 == 0) check(f0, f1);
+  }
+  EXPECT_GT(invertible, checked / 4);
 }
 
 TEST(BigUInt, RandomBitsHasExactWidth) {

@@ -30,6 +30,38 @@ TEST(PohligHellman, EncryptDecryptRoundTrip) {
   }
 }
 
+// Every session key of a seeded run, and so every ciphertext and trace
+// digest, follows from PhKey::generate's draws and rejection loop. The first
+// three keys of seed 1 are pinned. PhKey keeps e and d private, so they are
+// read through 2, a generator of Z_p* (2^q = -1 mod p): 2^x mod p fixes x
+// mod p - 1, and both exponents lie below p - 1.
+TEST(PohligHellman, GeneratedKeysArePinned) {
+  const PhDomain domain = PhDomain::fixed256();
+  const bn::BigUInt p_minus_1 = domain.p - bn::BigUInt(1);
+  const bn::BigUInt two(2);
+  ASSERT_EQ(bn::BigUInt::modexp(two, p_minus_1 >> 1, domain.p), p_minus_1);
+  const struct {
+    const char* e;
+    const char* d;
+  } pinned[] = {
+      {"9827ac84cd81f29308d68b5fa219f334bf2b26a591c5592d91098c4e6d1d3b7",
+       "3ed8632a1c437a2ad40c6196050c64d90740b66f79eac405e6379a28bb63ef71"},
+      {"c00071b2b16ace70604e009e867e9d398b4cb9e0c316a028c5eb1b6cd461747",
+       "44fe2f49199f8d90654f54174ded9d5da56c8d0992dc42ea123d181199693a1d"},
+      {"841f7b923349a017a6129e4390529318c633b4ba3ffe2449b1fb3797a93bec53",
+       "8cea5cfcb0a59213454d474a790c966fa5fc5fbdd462e493a454e97c858b1ac7"},
+  };
+  ChaCha20Rng rng(1);
+  for (const auto& [e_hex, d_hex] : pinned) {
+    const bn::BigUInt e = bn::BigUInt::from_hex(e_hex);
+    const bn::BigUInt d = bn::BigUInt::from_hex(d_hex);
+    EXPECT_EQ(bn::BigUInt::mulmod(e, d, p_minus_1), bn::BigUInt(1));
+    const PhKey key = PhKey::generate(domain, rng);
+    EXPECT_EQ(key.encrypt(two), bn::BigUInt::modexp(two, e, domain.p)) << e_hex;
+    EXPECT_EQ(key.decrypt(two), bn::BigUInt::modexp(two, d, domain.p)) << d_hex;
+  }
+}
+
 TEST(PohligHellman, RejectsOutOfRangePlaintext) {
   PhDomain domain = PhDomain::fixed256();
   ChaCha20Rng rng(3);

@@ -46,6 +46,22 @@ TEST_F(ThresholdFixture, DealingShapes) {
   EXPECT_THROW(deal_threshold_key(rng, 4, 3), std::invalid_argument);
 }
 
+// A gateway computes its signer set's coefficients once and reuses them.
+TEST_F(ThresholdFixture, CachedCoefficientsMatchLagrangeAtZero) {
+  for (const auto& set : std::vector<std::vector<std::uint32_t>>{
+           {1}, {1, 2, 3}, {2, 4, 5}, {5, 1, 3}, {1, 2, 3, 4, 5}}) {
+    const std::vector<bn::BigUInt> lambdas =
+        lagrange_coefficients(dealing.params, set);
+    ASSERT_EQ(lambdas.size(), set.size());
+    for (std::size_t i = 0; i < set.size(); ++i) {
+      EXPECT_EQ(lambdas[i], lagrange_at_zero(dealing.params, set, set[i]))
+          << "index " << set[i];
+    }
+  }
+  EXPECT_THROW(lagrange_coefficients(dealing.params, {1, 1, 2}),
+               std::invalid_argument);
+}
+
 TEST_F(ThresholdFixture, ExactThresholdSigns) {
   auto sig = sign_with(dealing, {1, 2, 3}, "audit report #1", rng);
   EXPECT_TRUE(verify_threshold(dealing.params, "audit report #1", sig));
