@@ -247,8 +247,8 @@ void BM_ModInverse(benchmark::State& state) {
 }
 
 // One node's key pair for one ring session: PhKey::generate draws e until
-// e^-1 mod p - 1 exists, then builds the Montgomery context and the window
-// schedules of e and d.
+// e^-1 mod p - 1 exists, then builds the window schedules of e and d over
+// the domain's Montgomery context.
 void BM_PohligHellmanKeygen(benchmark::State& state) {
   const std::size_t bits = static_cast<std::size_t>(state.range(0));
   const crypto::PhDomain domain =

@@ -154,7 +154,6 @@ void DlaNode::dispatch(net::Transport& sim, const net::Message& msg) {
     case kSignNonce: return handle_sign_nonce(sim, msg);
     case kSignChallenge: return handle_sign_challenge(sim, msg);
     case kSignShare: return handle_sign_share(sim, msg);
-    case kSubqueryExec: return handle_subquery_exec(sim, msg);
     case kJoinExec: return handle_join_exec(sim, msg);
     case kCombineExec: return handle_combine_exec(sim, msg);
     case kSubqueryDone: return handle_subquery_done(sim, msg);
@@ -563,12 +562,10 @@ void DlaNode::stage_set_input(SessionId session,
 }
 
 void DlaNode::start_set_protocol(net::Transport& sim, const SetSpec& spec) {
-  net::Writer w;
-  spec.encode(w);
   for (net::NodeId p : spec.participants) {
-    net::Writer copy;
-    spec.encode(copy);
-    send_payload(sim, id(), p, kSetStart, std::move(copy));
+    net::Writer w;
+    spec.encode(w);
+    send_payload(sim, id(), p, kSetStart, std::move(w));
   }
 }
 
@@ -901,8 +898,7 @@ void DlaNode::handle_set_result(net::Transport& sim, const net::Message& msg) {
   }
 
   // Internal consumers first: ACL audit and query combines.
-  if (auto acl_it = acl_sessions_.find(session); acl_it != acl_sessions_.end()) {
-    acl_sessions_.erase(acl_it);
+  if (acl_sessions_.erase(session) != 0) {
     std::vector<bn::BigUInt> own;
     for (const auto& entry : acl_.canonical_entries()) {
       own.push_back(crypto::encode_element(cfg_->ph_domain, entry));
@@ -915,7 +911,7 @@ void DlaNode::handle_set_result(net::Transport& sim, const net::Message& msg) {
   }
   if (auto pc = pending_combines_.find(session); pc != pending_combines_.end()) {
     // This node is the gateway of a query whose combine step just finished.
-    PendingCombine combine = pc->second;
+    const std::uint64_t qid = pc->second;
     pending_combines_.erase(pc);
     std::vector<logm::Glsn> glsns;
     glsns.reserve(elements.size());
@@ -925,7 +921,7 @@ void DlaNode::handle_set_result(net::Transport& sim, const net::Message& msg) {
         // Not an element any node encoded: certifying it would report a
         // glsn nobody wrote.
         ++set_ring_rejects_;
-        auto qit = queries_.find(combine.qid);
+        auto qit = queries_.find(qid);
         if (qit != queries_.end()) {
           fail_query(sim, qit->second, "combine result is not a glsn set");
         }
@@ -934,13 +930,9 @@ void DlaNode::handle_set_result(net::Transport& sim, const net::Message& msg) {
       glsns.push_back(*glsn);
     }
     sort_unique(glsns);
-    if (combine.is_final) {
-      auto qit = queries_.find(combine.qid);
-      if (qit != queries_.end()) finish_query(sim, qit->second, std::move(glsns));
-      return;
+    if (QueryState* qs = query_at_task(qid, session)) {
+      combine_done_here(sim, *qs, std::move(glsns));
     }
-    result_sets_[session] = std::move(glsns);
-    task_completed(sim, combine.qid);
     return;
   }
   if (on_set_result) on_set_result(session, std::move(elements));
@@ -948,7 +940,7 @@ void DlaNode::handle_set_result(net::Transport& sim, const net::Message& msg) {
 
 void DlaNode::start_acl_consistency_check(net::Transport& sim,
                                           SessionId session) {
-  acl_sessions_[session] = true;
+  acl_sessions_.insert(session);
   SetSpec spec;
   spec.session = session;
   spec.op = SetOp::Intersect;
@@ -1377,7 +1369,7 @@ std::string DlaNode::fragment_canonical_or_missing(logm::Glsn glsn) const {
 
 void DlaNode::start_integrity_check(net::Transport& sim, SessionId session,
                                     logm::Glsn glsn) {
-  integrity_initiated_[session] = IntegritySession{glsn};
+  integrity_initiated_.insert(session);
   bn::BigUInt value = accum_stepper_->step(
       cfg_->accum_params.x0, fragment_canonical_or_missing(glsn));
   net::Writer w;
@@ -1451,50 +1443,35 @@ std::size_t DlaNode::owner_for(const std::string& attr,
   return primary;
 }
 
-std::uint64_t DlaNode::plan_expr(const Expr& expr, std::vector<Task>& tasks,
-                                 std::uint64_t qid, net::SimTime now) {
-  auto owners_of = [&](const Expr& e) {
-    std::set<std::size_t> nodes;
-    for (const auto& attr : attributes_of(e)) {
-      nodes.insert(owner_for(attr, now));
-    }
-    return nodes;
-  };
-  std::uint64_t rid = (qid << 16) | (tasks.size() + 1);
-
-  std::set<std::size_t> nodes = owners_of(expr);
-  if (nodes.size() <= 1) {
-    Task t;
-    t.kind = Task::Kind::Local;
-    t.rid = rid;
-    t.expr_text = to_text(expr);
-    t.owners = {nodes.empty() ? index_ : *nodes.begin()};
-    tasks.push_back(std::move(t));
-    return rid;
+void DlaNode::plan_expr(const Expr& expr, Task& parent,
+                        std::vector<Task>& tasks, std::uint64_t qid,
+                        net::SimTime now) {
+  std::set<std::size_t> nodes;
+  for (const auto& attr : attributes_of(expr)) {
+    nodes.insert(owner_for(attr, now));
   }
+  if (nodes.size() <= 1) {
+    parent.local_exprs[nodes.empty() ? index_ : *nodes.begin()].push_back(
+        expr);
+    return;
+  }
+  Task t;
   if (expr.kind == Expr::Kind::Pred) {
     // Cross-node attribute-vs-attribute predicate -> blind-TTP join.
-    Task t;
     t.kind = Task::Kind::Join;
-    t.rid = rid;
     t.join_pred = expr.pred;
     t.owners = {owner_for(expr.pred.lhs, now),
                 owner_for(expr.pred.rhs_attr, now)};
-    tasks.push_back(std::move(t));
-    return rid;
+  } else {
+    // AND / OR spanning nodes: a combine over its children.
+    t.combine_and = expr.kind == Expr::Kind::And;
+    for (const auto& child : expr.children) {
+      plan_expr(child, t, tasks, qid, now);
+    }
   }
-  // AND / OR spanning nodes: plan children, then a combine task.
-  std::vector<std::uint64_t> child_rids;
-  for (const auto& child : expr.children) {
-    child_rids.push_back(plan_expr(child, tasks, qid, now));
-  }
-  Task t;
-  t.kind = Task::Kind::Combine;
   t.rid = (qid << 16) | (tasks.size() + 1);
-  t.combine_and = expr.kind == Expr::Kind::And;
-  t.child_rids = std::move(child_rids);
+  parent.child_rids.push_back(t.rid);
   tasks.push_back(std::move(t));
-  return tasks.back().rid;
 }
 
 void DlaNode::reply_user(net::Transport& sim, net::NodeId user,
@@ -1600,8 +1577,9 @@ void DlaNode::start_query(net::Transport& sim, QueryState qs,
   Expr nf = push_negations(ast);
   std::vector<Expr> conjuncts = to_conjunctive(nf);
   // Planner optimisation: conjuncts whose attributes all live on the same
-  // node are merged into one local subquery — fewer protocol rounds, and
-  // it enables the secret-counting shortcut for compound local criteria.
+  // node are merged into one local subquery, which the owner's engine plans
+  // as one conjunction; it also enables the secret-counting shortcut for
+  // compound local criteria.
   {
     std::map<std::size_t, std::vector<Expr>> by_owner;
     std::vector<Expr> multi_node;
@@ -1624,41 +1602,23 @@ void DlaNode::start_query(net::Transport& sim, QueryState qs,
     }
     for (auto& e : multi_node) conjuncts.push_back(std::move(e));
   }
-  std::vector<std::uint64_t> roots;
+  Task final;
   for (const auto& sq : conjuncts) {
-    roots.push_back(plan_expr(sq, qs.tasks, qid, sim.now()));
+    plan_expr(sq, final, qs.tasks, qid, sim.now());
   }
-  if (qs.tasks.size() == 1 && qs.tasks[0].kind == Task::Kind::Local) {
-    // A one-task plan needs no combine: the owner answers the gateway
-    // directly. An auditor-scope COUNT gets only the match count (secret
-    // counting, [7]), so the glsn set never leaves the owner; user-scope
-    // tickets still need the set for ACL filtering.
-    const bool secret_count =
-        qs.is_aggregate && qs.agg_op == AggOp::Count && qs.ticket.auditor;
-    qs.tasks[0].reply = secret_count ? TaskReply::Count : TaskReply::Set;
-  } else {
-    Task final;
-    final.kind = Task::Kind::FinalCombine;
-    final.rid = (qid << 16) | (qs.tasks.size() + 1);
-    final.combine_and = true;
-    final.child_rids = std::move(roots);
-    qs.tasks.push_back(std::move(final));
-  }
+  // An auditor-scope COUNT over a plan of exactly one local subquery (one
+  // owner, one expression, no staged input) gets only the match count
+  // (secret counting, [7]), so the glsn set never leaves the owner;
+  // user-scope tickets still need the set for ACL filtering.
+  const bool secret_count = qs.is_aggregate && qs.agg_op == AggOp::Count &&
+                            qs.ticket.auditor && final.child_rids.empty() &&
+                            final.local_exprs.size() == 1 &&
+                            final.local_exprs.begin()->second.size() == 1;
+  final.reply = secret_count ? TaskReply::Count : TaskReply::Set;
+  final.rid = (qid << 16) | (qs.tasks.size() + 1);
+  qs.tasks.push_back(std::move(final));
   qs.timeout_timer = sim.set_timer(id(), kQueryTimeout);
   timer_to_qid_[qs.timeout_timer] = qid;
-  // Record the static owner of every task result.
-  for (const auto& task : qs.tasks) {
-    switch (task.kind) {
-      case Task::Kind::Local:
-      case Task::Kind::Join:
-        // Join results land at the lhs owner.
-        qs.rid_owner[task.rid] = task.owners[0];
-        break;
-      case Task::Kind::Combine:
-      case Task::Kind::FinalCombine:
-        break;  // decided when the task runs
-    }
-  }
   queries_[qid] = std::move(qs);
   run_next_task(sim, queries_[qid]);
 }
@@ -1772,16 +1732,6 @@ void DlaNode::run_next_task(net::Transport& sim, QueryState& qs) {
   if (qs.next_task >= qs.tasks.size()) return;
   Task& task = qs.tasks[qs.next_task];
   switch (task.kind) {
-    case Task::Kind::Local: {
-      net::Writer w;
-      w.u64(qs.qid);
-      w.u64(task.rid);
-      w.str(task.expr_text);
-      w.u8(static_cast<std::uint8_t>(task.reply));
-      send_payload(sim, id(), cfg_->dla_nodes[task.owners[0]], kSubqueryExec,
-                   std::move(w));
-      return;
-    }
     case Task::Kind::Join: {
       // Shared transform for the batch (order-preserving for numerics,
       // hash-equality for text); the TTP never sees a, b.
@@ -1794,6 +1744,7 @@ void DlaNode::run_next_task(net::Transport& sim, QueryState& qs) {
         a = bn::BigUInt::random_below(rng_, p - bn::BigUInt(1)) + bn::BigUInt(1);
         b = bn::BigUInt::random_below(rng_, p);
       }
+      qs.rid_owner[task.rid] = task.owners[0];  // the result lands at lhs
       for (int side = 0; side < 2; ++side) {
         net::Writer w;
         w.u64(qs.qid);
@@ -1811,30 +1762,37 @@ void DlaNode::run_next_task(net::Transport& sim, QueryState& qs) {
       }
       return;
     }
-    case Task::Kind::Combine:
-    case Task::Kind::FinalCombine: {
-      const bool is_final = task.kind == Task::Kind::FinalCombine;
-      // Group inputs by the node holding them.
-      std::map<std::size_t, std::vector<std::uint64_t>> by_owner;
+    case Task::Kind::Combine: {
+      // Group the inputs by the node holding them: staged results where
+      // they landed, local subqueries at their owner.
+      struct Inputs {
+        std::vector<std::uint64_t> rids;
+        std::vector<Expr> exprs;
+      };
+      std::map<std::size_t, Inputs> by_owner;
       for (std::uint64_t child : task.child_rids) {
-        by_owner[qs.rid_owner.at(child)].push_back(child);
+        by_owner[qs.rid_owner.at(child)].rids.push_back(child);
+      }
+      for (const auto& [owner, exprs] : task.local_exprs) {
+        by_owner[owner].exprs = exprs;
       }
       // kCombineExec carries the ring's spec when the inputs sit on several
       // nodes, else the reply the single owner gives.
-      auto send_combine = [&](std::size_t owner,
-                              const std::vector<std::uint64_t>& rids,
+      auto send_combine = [&](std::size_t owner, const Inputs& in,
                               const SetSpec* ring) {
         net::Writer w;
         w.u64(qs.qid);
         w.u64(task.rid);
         w.boolean(task.combine_and);
-        w.vec(rids, [](net::Writer& out, std::uint64_t rid) { out.u64(rid); });
+        w.vec(in.rids,
+              [](net::Writer& out, std::uint64_t rid) { out.u64(rid); });
+        w.vec(in.exprs,
+              [](net::Writer& out, const Expr& e) { out.str(to_text(e)); });
         w.boolean(ring != nullptr);
         if (ring != nullptr) {
           ring->encode(w);
         } else {
-          w.u8(static_cast<std::uint8_t>(is_final ? TaskReply::Set
-                                                  : TaskReply::Stage));
+          w.u8(static_cast<std::uint8_t>(task.reply));
         }
         send_payload(sim, id(), cfg_->dla_nodes[owner], kCombineExec,
                      std::move(w));
@@ -1842,19 +1800,14 @@ void DlaNode::run_next_task(net::Transport& sim, QueryState& qs) {
       if (by_owner.size() == 1) {
         // All inputs on one node: they merge where they already sit in
         // plaintext, in place when that node is this gateway.
-        const auto& [owner, rids] = *by_owner.begin();
+        const auto& [owner, in] = *by_owner.begin();
         qs.rid_owner[task.rid] = owner;
         if (owner != index_) {
-          send_combine(owner, rids, nullptr);
+          send_combine(owner, in, nullptr);
           return;
         }
-        std::vector<logm::Glsn> merged = merge_results(task.combine_and, rids);
-        if (is_final) {
-          finish_query(sim, qs, std::move(merged));
-          return;
-        }
-        result_sets_[task.rid] = std::move(merged);
-        task_completed(sim, qs.qid);
+        combine_done_here(sim, qs,
+                          merge_inputs(task.combine_and, in.rids, in.exprs));
         return;
       }
       // Inputs on several nodes: each owner merges its own and joins a
@@ -1864,37 +1817,19 @@ void DlaNode::run_next_task(net::Transport& sim, QueryState& qs) {
       SetSpec spec;
       spec.session = task.rid;
       spec.op = task.combine_and ? SetOp::Intersect : SetOp::Union;
-      for (const auto& [owner, rids] : by_owner) {
+      for (const auto& [owner, in] : by_owner) {
         spec.participants.push_back(cfg_->dla_nodes[owner]);
       }
       spec.collector = spec.participants[0];
       spec.observers = {id()};
       qs.rid_owner[task.rid] = index_;
-      pending_combines_[task.rid] = PendingCombine{qs.qid, is_final};
-      for (const auto& [owner, rids] : by_owner) {
-        send_combine(owner, rids, &spec);
+      pending_combines_[task.rid] = qs.qid;
+      for (const auto& [owner, in] : by_owner) {
+        send_combine(owner, in, &spec);
       }
       return;
     }
   }
-}
-
-void DlaNode::handle_subquery_exec(net::Transport& sim,
-                                   const net::Message& msg) {
-  net::Reader r(msg.payload);
-  std::uint64_t qid = r.u64();
-  std::uint64_t rid = r.u64();
-  std::string expr_text = r.str();
-  const TaskReply reply = decode_task_reply(r);
-  r.expect_end();
-  // Each task rid executes exactly once: a duplicate kSubqueryExec arriving
-  // after the result was consumed would repopulate result_sets_ forever.
-  if (task_rid_guard_.check_and_mark(rid)) {
-    ++replay_drops_;
-    return;
-  }
-  Expr expr = parse(expr_text, cfg_->schema);
-  answer_task(sim, msg.src, qid, rid, reply, eval_local(expr));
 }
 
 void DlaNode::handle_join_exec(net::Transport& sim, const net::Message& msg) {
@@ -1971,6 +1906,8 @@ void DlaNode::handle_combine_exec(net::Transport& sim,
   bool and_op = r.boolean();
   auto input_rids =
       r.vec<std::uint64_t>([](net::Reader& in) { return in.u64(); });
+  auto expr_texts =
+      r.vec<std::string>([](net::Reader& in) { return in.str(); });
   std::optional<SetSpec> ring;
   TaskReply reply = TaskReply::Stage;
   if (r.boolean()) {
@@ -1979,13 +1916,19 @@ void DlaNode::handle_combine_exec(net::Transport& sim,
     reply = decode_task_reply(r);
   }
   r.expect_end();
+  // Parsed before the rid is marked or any input consumed: a frame whose
+  // expression does not parse is a parse reject that changes nothing.
+  std::vector<Expr> exprs;
+  for (const auto& text : expr_texts) {
+    exprs.push_back(parse(text, cfg_->schema));
+  }
   // A replayed kCombineExec finds its inputs already consumed and would
   // overwrite the staged result with an empty merge.
   if (task_rid_guard_.check_and_mark(rid)) {
     ++replay_drops_;
     return;
   }
-  std::vector<logm::Glsn> merged = merge_results(and_op, input_rids);
+  std::vector<logm::Glsn> merged = merge_inputs(and_op, input_rids, exprs);
   if (!ring) {
     answer_task(sim, msg.src, qid, rid, reply, std::move(merged));
     return;
@@ -1999,16 +1942,14 @@ void DlaNode::handle_combine_exec(net::Transport& sim,
   join_ring(sim, *ring, std::move(elements));
 }
 
-std::vector<logm::Glsn> DlaNode::merge_results(
-    bool and_op, const std::vector<std::uint64_t>& rids) {
+std::vector<logm::Glsn> DlaNode::merge_inputs(
+    bool and_op, const std::vector<std::uint64_t>& rids,
+    const std::vector<Expr>& exprs) {
+  // Each expression is evaluated on its own: the scan drops a record that
+  // lacks one side's attribute from `a OR b`, which the union keeps.
   std::vector<logm::Glsn> merged;
   bool first = true;
-  for (std::uint64_t rid : rids) {
-    std::vector<logm::Glsn> set;
-    if (auto it = result_sets_.find(rid); it != result_sets_.end()) {
-      set = std::move(it->second);
-      result_sets_.erase(it);
-    }
+  auto fold = [&](std::vector<logm::Glsn> set) {
     if (first) {
       merged = std::move(set);
       first = false;
@@ -2016,7 +1957,16 @@ std::vector<logm::Glsn> DlaNode::merge_results(
       merged = and_op ? logm::intersect_sorted(merged, set)
                       : logm::union_sorted(merged, set);
     }
+  };
+  for (std::uint64_t rid : rids) {
+    std::vector<logm::Glsn> set;
+    if (auto it = result_sets_.find(rid); it != result_sets_.end()) {
+      set = std::move(it->second);
+      result_sets_.erase(it);
+    }
+    fold(std::move(set));
   }
+  for (const Expr& expr : exprs) fold(eval_local(expr));
   return merged;
 }
 
@@ -2065,6 +2015,19 @@ void DlaNode::handle_subquery_done(net::Transport& sim,
     return;
   }
   task_completed(sim, qid);
+}
+
+void DlaNode::combine_done_here(net::Transport& sim, QueryState& qs,
+                                std::vector<logm::Glsn> glsns) {
+  const Task& task = qs.tasks[qs.next_task];
+  if (task.reply != TaskReply::Stage) {
+    // The final combine; a secret count merged here keeps no set either,
+    // since finish_query answers an auditor's COUNT with the size alone.
+    finish_query(sim, qs, std::move(glsns));
+    return;
+  }
+  result_sets_[task.rid] = std::move(glsns);
+  task_completed(sim, qs.qid);
 }
 
 void DlaNode::task_completed(net::Transport& sim, std::uint64_t qid) {
@@ -2200,11 +2163,10 @@ void DlaNode::handle_dkg_start(net::Transport& sim, const net::Message& msg) {
     w.big(share);
     send_payload(sim, id(), cfg_->dla_nodes[j], kDkgShare, std::move(w));
   }
-  maybe_finish_dkg(sim, session);
+  maybe_finish_dkg(session);
 }
 
-void DlaNode::handle_dkg_commit(net::Transport& sim,
-                                const net::Message& msg) {
+void DlaNode::handle_dkg_commit(net::Transport&, const net::Message& msg) {
   net::Reader r(msg.payload);
   SessionId session = r.u64();
   std::uint32_t dealer = r.u32();
@@ -2215,10 +2177,10 @@ void DlaNode::handle_dkg_commit(net::Transport& sim,
     return;
   }
   dkg_state_[session].commitments[dealer] = std::move(commitments);
-  maybe_finish_dkg(sim, session);
+  maybe_finish_dkg(session);
 }
 
-void DlaNode::handle_dkg_share(net::Transport& sim, const net::Message& msg) {
+void DlaNode::handle_dkg_share(net::Transport&, const net::Message& msg) {
   net::Reader r(msg.payload);
   SessionId session = r.u64();
   std::uint32_t dealer = r.u32();
@@ -2229,18 +2191,15 @@ void DlaNode::handle_dkg_share(net::Transport& sim, const net::Message& msg) {
     return;
   }
   dkg_state_[session].shares[dealer] = std::move(share);
-  maybe_finish_dkg(sim, session);
+  maybe_finish_dkg(session);
 }
 
-void DlaNode::maybe_finish_dkg(net::Transport& sim, SessionId session) {
-  (void)sim;
+void DlaNode::maybe_finish_dkg(SessionId session) {
   DkgState& st = dkg_state_[session];
   const std::size_t n = cfg_->cluster_size();
-  if (st.done || st.k == 0 || st.commitments.size() < n ||
-      st.shares.size() < n) {
+  if (st.k == 0 || st.commitments.size() < n || st.shares.size() < n) {
     return;
   }
-  st.done = true;
 
   crypto::DkgGroup group = crypto::DkgGroup::fixed256();
   std::uint32_t my_index = static_cast<std::uint32_t>(index_ + 1);

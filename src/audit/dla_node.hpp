@@ -215,7 +215,6 @@ class DlaNode : public net::Node {
   // 3 consecutive beats is suspected, and gateways route its subqueries to
   // the successor replica (requires cfg->replication >= 2 for coverage).
   void start_heartbeats(net::Transport& sim);
-  void stop_heartbeats() { heartbeats_on_ = false; }
   bool suspects(std::size_t peer_index, net::SimTime now) const;
 
   // --- protocol outcome callbacks (observer side) ------------------------
@@ -303,33 +302,32 @@ class DlaNode : public net::Node {
   void handle_dkg_start(net::Transport& sim, const net::Message& msg);
   void handle_dkg_commit(net::Transport& sim, const net::Message& msg);
   void handle_dkg_share(net::Transport& sim, const net::Message& msg);
-  void maybe_finish_dkg(net::Transport& sim, SessionId session);
+  void maybe_finish_dkg(SessionId session);
   void handle_sign_request(net::Transport& sim, const net::Message& msg);
   void handle_sign_nonce(net::Transport& sim, const net::Message& msg);
   void handle_sign_challenge(net::Transport& sim, const net::Message& msg);
   void handle_sign_share(net::Transport& sim, const net::Message& msg);
-  void handle_subquery_exec(net::Transport& sim, const net::Message& msg);
   void handle_join_exec(net::Transport& sim, const net::Message& msg);
   void handle_combine_exec(net::Transport& sim, const net::Message& msg);
   void handle_subquery_done(net::Transport& sim, const net::Message& msg);
   void handle_cmp_batch_result(net::Transport& sim, const net::Message& msg);
   void handle_subquery_data(net::Transport& sim, const net::Message& msg);
 
-  // Gateway-side task plan.
+  // Gateway-side task plan. Every local subquery is an input of the combine
+  // that consumes it: its owner evaluates it when that combine reaches it.
   struct Task {
-    enum class Kind { Local, Join, Combine, FinalCombine } kind = Kind::Local;
+    enum class Kind { Join, Combine } kind = Kind::Combine;
     std::uint64_t rid = 0;
-    // Local: whole expression evaluable at `owners[0]`.
     // Join: cross-node attr-vs-attr predicate; owners = {lhs, rhs} indices.
-    // Combine: children combined with `combine_and`.
-    std::string expr_text;
     Predicate join_pred;
-    bool combine_and = true;
-    // How the owner of a Local task answers: Stage unless the task is the
-    // whole plan (see start_query).
-    TaskReply reply = TaskReply::Stage;
-    std::vector<std::uint64_t> child_rids;
     std::vector<std::size_t> owners;  // cluster indices
+    // Combine: the staged results of earlier tasks plus local subqueries
+    // keyed by their owner, combined with `combine_and`. The final combine
+    // answers Set, or Count for a secret count; every other one stages.
+    bool combine_and = true;
+    std::vector<std::uint64_t> child_rids;
+    std::map<std::size_t, std::vector<Expr>> local_exprs;
+    TaskReply reply = TaskReply::Stage;
   };
   struct QueryState {
     std::uint64_t qid = 0;
@@ -352,10 +350,11 @@ class DlaNode : public net::Node {
     // completion messages must not re-enter finish_query.
     bool finishing = false;
   };
-  // Compiles the expression tree of one subquery into tasks appended to
-  // `tasks`; returns the rid holding the subquery result.
-  std::uint64_t plan_expr(const Expr& expr, std::vector<Task>& tasks,
-                          std::uint64_t qid, net::SimTime now);
+  // Plans `expr` as an input of the combine `parent`: a local subquery
+  // joins parent.local_exprs, anything else becomes tasks appended to
+  // `tasks` whose result rid joins parent.child_rids.
+  void plan_expr(const Expr& expr, Task& parent, std::vector<Task>& tasks,
+                 std::uint64_t qid, net::SimTime now);
   // Parses + normalizes + plans the criterion into qs.tasks and launches
   // the first task. Throws ParseError on a bad criterion.
   void start_query(net::Transport& sim, QueryState qs,
@@ -366,12 +365,18 @@ class DlaNode : public net::Node {
   void fail_query(net::Transport& sim, QueryState& qs,
                   const std::string& error);
   void task_completed(net::Transport& sim, std::uint64_t qid);
+  // The gateway holds the result of the current combine: the final one
+  // answers the query, any other stages it here for a later combine.
+  void combine_done_here(net::Transport& sim, QueryState& qs,
+                         std::vector<logm::Glsn> glsns);
   // The query whose current task is `rid`, or null for a stale, duplicate
   // or unknown task answer.
   QueryState* query_at_task(std::uint64_t qid, std::uint64_t rid);
-  // Merges (and drops) this node's staged task results under AND / OR.
-  std::vector<logm::Glsn> merge_results(bool and_op,
-                                        const std::vector<std::uint64_t>& rids);
+  // Merges (and drops) this node's staged task results and the results of
+  // evaluating `exprs` here, each on its own, under AND / OR.
+  std::vector<logm::Glsn> merge_inputs(bool and_op,
+                                       const std::vector<std::uint64_t>& rids,
+                                       const std::vector<Expr>& exprs);
   // Owner side: answers the gateway for task `rid` as `reply` asks.
   void answer_task(net::Transport& sim, net::NodeId gateway, std::uint64_t qid,
                    std::uint64_t rid, TaskReply reply,
@@ -384,12 +389,6 @@ class DlaNode : public net::Node {
   // The cluster index answering for `attr` right now: the primary owner,
   // or its successor replica when the primary is suspected.
   std::size_t owner_for(const std::string& attr, net::SimTime now) const;
-
-  // Gateway side: a ring combine in flight, keyed by its session (= rid).
-  struct PendingCombine {
-    std::uint64_t qid = 0;
-    bool is_final = false;
-  };
 
   std::string name_;
   crypto::ChaCha20Rng rng_;
@@ -554,16 +553,14 @@ class DlaNode : public net::Node {
   void scalar_send_masked_a(net::Transport& sim, SessionId session);
   void scalar_bob_reply(net::Transport& sim, SessionId session);
 
-  struct IntegritySession {
-    logm::Glsn glsn = 0;
-  };
-  std::map<SessionId, IntegritySession> integrity_initiated_;
-  std::map<SessionId, bool> acl_sessions_;  // session -> waiting
+  std::set<SessionId> integrity_initiated_;
+  std::set<SessionId> acl_sessions_;
 
   // query state.
   std::map<std::uint64_t, QueryState> queries_;     // gateway side
   std::map<std::uint64_t, std::vector<logm::Glsn>> result_sets_;  // owner side
-  std::map<SessionId, PendingCombine> pending_combines_;
+  // Gateway side: ring combines in flight, session (= rid) -> qid.
+  std::map<SessionId, std::uint64_t> pending_combines_;
   std::uint64_t next_qid_ = 1;
   std::uint64_t next_session_ = 1;
 
@@ -573,7 +570,6 @@ class DlaNode : public net::Node {
     bool dealt = false;
     std::map<std::uint32_t, std::vector<bn::BigUInt>> commitments;
     std::map<std::uint32_t, bn::BigUInt> shares;  // dealer -> share for me
-    bool done = false;
   };
   std::map<SessionId, DkgState> dkg_state_;
   bool dkg_corrupt_ = false;

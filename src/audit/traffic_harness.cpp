@@ -63,7 +63,6 @@ std::string_view classify_message(MsgType type) {
       return "integrity";
     case kAuditQuery:
     case kAuditResult:
-    case kSubqueryExec:
     case kSubqueryDone:
     case kSubqueryData:
     case kJoinExec:

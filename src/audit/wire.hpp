@@ -75,12 +75,12 @@ enum MsgType : std::uint32_t {
   // confidential audit queries (Figure 3)
   kAuditQuery = 0x80,    // user -> gateway {qid, ticket, criterion}
   kAuditResult = 0x81,   // gateway -> user {qid, ok, error, glsns}
-  kSubqueryExec = 0x82,  // gateway -> owner {qid, rid, expr, reply}
+  // 0x82: retired id, never reassigned.
   kSubqueryDone = 0x83,  // owner -> gateway {qid, rid, result_size}
   // 0x84: retired id, never reassigned.
   kSubqueryData = 0x85,  // owner -> gateway {qid, rid, glsns} (final set)
   kJoinExec = 0x86,      // gateway -> both attr owners {join task parameters}
-  kCombineExec = 0x87,   // gateway -> input owners {inputs, reply or ring}
+  kCombineExec = 0x87,   // gateway -> owners {inputs, exprs, reply or ring}
   // 0x88: retired id, never reassigned.
   kAggregateQuery = 0x89,  // user -> gateway {qid, ticket, criterion, op, attr}
   kAggregateExec = 0x8A,   // gateway -> attr owner {qid, op, attr, glsns}
@@ -220,11 +220,11 @@ enum class AggOp : std::uint8_t { Count = 0, Sum = 1, Max = 2, Min = 3, Avg = 4 
 std::string_view to_string(AggOp op);
 
 // ------------------------------------------------------- query tasks --
-// How an owner answers a query task (the `reply` byte of kSubqueryExec and
-// of a ring-less kCombineExec): keep the set for a later combine and report
-// its size (kSubqueryDone), report only the size (secret counting, [7]), or
-// send the set itself as the query's final result (kSubqueryData). Any
-// other byte is a codec reject.
+// How an owner answers a query task (the `reply` byte of a ring-less
+// kCombineExec): keep the set for a later combine and report its size
+// (kSubqueryDone), report only the size (secret counting, [7]), or send the
+// set itself as the query's final result (kSubqueryData). Any other byte is
+// a codec reject.
 enum class TaskReply : std::uint8_t { Stage = 0, Count = 1, Set = 2 };
 
 TaskReply decode_task_reply(net::Reader& r);

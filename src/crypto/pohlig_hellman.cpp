@@ -7,6 +7,10 @@
 
 namespace dla::crypto {
 
+PhDomain::PhDomain(bn::BigUInt prime)
+    : p(std::move(prime)),
+      mont(std::make_shared<const bn::MontgomeryContext>(p)) {}
+
 PhDomain PhDomain::generate(ChaCha20Rng& rng, std::size_t bits) {
   return PhDomain{bn::generate_safe_prime(rng, bits)};
 }
@@ -14,18 +18,17 @@ PhDomain PhDomain::generate(ChaCha20Rng& rng, std::size_t bits) {
 PhDomain PhDomain::fixed256() {
   // Precomputed 256-bit safe prime (p = 2q+1, q prime); verified by the
   // dla_bignum prime tests.
-  static const bn::BigUInt p = bn::BigUInt::from_hex(
-      "dc9db496edbc0c1c97972e233e1a191fdb56a14df65a307ca1cea9ebe0fb9b93");
-  return PhDomain{p};
+  static const PhDomain domain{bn::BigUInt::from_hex(
+      "dc9db496edbc0c1c97972e233e1a191fdb56a14df65a307ca1cea9ebe0fb9b93")};
+  return domain;
 }
 
-PhKey::PhKey(bn::BigUInt p, bn::BigUInt e, bn::BigUInt d)
-    : p_(std::move(p)),
+PhKey::PhKey(const PhDomain& domain, bn::BigUInt e, bn::BigUInt d)
+    : p_(domain.p),
       e_(std::move(e)),
       d_(std::move(d)),
-      mont_(std::make_shared<bn::MontgomeryContext>(p_)),
-      enc_engine_(std::make_shared<const ModExpEngine>(mont_, e_)),
-      dec_engine_(std::make_shared<const ModExpEngine>(mont_, d_)) {}
+      enc_engine_(std::make_shared<const ModExpEngine>(domain.mont, e_)),
+      dec_engine_(std::make_shared<const ModExpEngine>(domain.mont, d_)) {}
 
 PhKey PhKey::generate(const PhDomain& domain, ChaCha20Rng& rng) {
   const bn::BigUInt p_minus_1 = domain.p - bn::BigUInt(1);
@@ -33,7 +36,7 @@ PhKey PhKey::generate(const PhDomain& domain, ChaCha20Rng& rng) {
     bn::BigUInt e = bn::BigUInt::random_below(rng, p_minus_1 - bn::BigUInt(3)) +
                     bn::BigUInt(3);
     auto d = bn::BigUInt::modinv(e, p_minus_1);
-    if (d.has_value()) return PhKey(domain.p, std::move(e), std::move(*d));
+    if (d.has_value()) return PhKey(domain, std::move(e), std::move(*d));
   }
 }
 

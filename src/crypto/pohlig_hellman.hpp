@@ -27,12 +27,18 @@ namespace dla::crypto {
 // The shared group: a safe prime p. All parties in one protocol instance use
 // the same domain; exponent keys are private per party.
 struct PhDomain {
+  explicit PhDomain(bn::BigUInt prime);
+
   bn::BigUInt p;
+  // Montgomery context for p, built once per domain; copies of the domain
+  // and every key drawn from it share it.
+  std::shared_ptr<const bn::MontgomeryContext> mont;
 
   // Generate a fresh domain with a `bits`-bit safe prime.
   static PhDomain generate(ChaCha20Rng& rng, std::size_t bits);
   // A fixed, precomputed 256-bit domain for tests and examples that do not
-  // want to pay safe-prime generation at startup.
+  // want to pay safe-prime generation at startup. Every call returns a copy
+  // of one process-wide domain.
   static PhDomain fixed256();
 };
 
@@ -57,15 +63,13 @@ class PhKey {
   void decrypt_batch(std::span<bn::BigUInt> elements) const;
 
  private:
-  PhKey(bn::BigUInt p, bn::BigUInt e, bn::BigUInt d);
+  PhKey(const PhDomain& domain, bn::BigUInt e, bn::BigUInt d);
 
   bn::BigUInt p_;
   bn::BigUInt e_;
   bn::BigUInt d_;
-  // Montgomery fast path for the (odd, prime) modulus; shared so copies of
-  // a key reuse the precomputation. The engines carry the compiled window
-  // schedules for the fixed exponents e and d.
-  std::shared_ptr<const bn::MontgomeryContext> mont_;
+  // Montgomery fast path over the domain's shared context; the engines carry
+  // the compiled window schedules for the fixed exponents e and d.
   std::shared_ptr<const ModExpEngine> enc_engine_;
   std::shared_ptr<const ModExpEngine> dec_engine_;
 };

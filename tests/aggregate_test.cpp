@@ -122,13 +122,21 @@ TEST_F(AggregateFixture, SecretCountingShortcutLeavesNoResultSets) {
   // Auditor COUNT over one local subquery (id and C2 both on P1): the
   // owner reports only the count — no glsn set is stored at the owner and
   // none travels to the gateway.
-  cluster.sim().reset_stats();
-  auto outcome = run("id = 'U1' AND C2 > 1.0", AggOp::Count, "");
-  ASSERT_TRUE(outcome.ok) << outcome.error;
-  EXPECT_DOUBLE_EQ(outcome.value, 2.0);
-  // No fetch leg: the subquery answer flows gateway -> user in 4 messages
-  // total (query, exec, done, result).
-  EXPECT_EQ(cluster.sim().stats().messages_sent, 4u);
+  auto count_messages = [&](std::size_t gateway) {
+    cluster.user(0).set_gateway(gateway);
+    cluster.sim().reset_stats();
+    auto outcome = run("id = 'U1' AND C2 > 1.0", AggOp::Count, "");
+    EXPECT_TRUE(outcome.ok) << outcome.error;
+    EXPECT_DOUBLE_EQ(outcome.value, 2.0);
+    for (std::size_t i = 0; i < cluster.dla_count(); ++i) {
+      EXPECT_EQ(cluster.dla(i).session_residue(), 0u) << "P" << i;
+    }
+    return cluster.sim().stats().messages_sent;
+  };
+  // P0 owns neither attribute: query, kCombineExec, kSubqueryDone, result.
+  EXPECT_EQ(count_messages(0), 4u);
+  // P1 is the owner: it counts in place, so only query and result travel.
+  EXPECT_EQ(count_messages(1), 2u);
 }
 
 TEST_F(AggregateFixture, SecretCountingMatchesRegularCountSemantics) {

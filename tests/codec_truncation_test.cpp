@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "audit/cluster.hpp"
@@ -332,8 +334,8 @@ TEST(CodecTruncation, LiveTrafficSurvivesTruncationReplay) {
   std::set<std::uint32_t> types;
   for (const Captured& c : captured) types.insert(c.type);
   for (std::uint32_t required :
-       {kGlsnRequest, kGlsnPropose, kLogFragment, kAuditQuery, kSubqueryExec,
-        kCombineExec, kSetRing, kAggregateExec}) {
+       {kGlsnRequest, kGlsnPropose, kLogFragment, kAuditQuery, kCombineExec,
+        kSetRing, kAggregateExec}) {
     EXPECT_TRUE(types.count(required))
         << "workload never delivered type 0x" << std::hex << required;
   }
@@ -387,8 +389,26 @@ TEST(CodecTruncation, LiveTrafficSurvivesTruncationReplay) {
   EXPECT_EQ(outcome->glsns.size(), 2u);
 }
 
-// kLogFragment's trailing deposit and kSubqueryExec's reply byte are
-// mandatory: a frame that stops right before either is rejected by the
+// A ring-less kCombineExec from a hand-built gateway: staged `inputs` and
+// local `exprs` merged under AND, answered in `reply` mode (the byte is left
+// out when `reply` is empty).
+net::Bytes ringless_combine(std::uint64_t rid,
+                            const std::vector<std::uint64_t>& inputs,
+                            const std::vector<std::string>& exprs,
+                            std::optional<std::uint8_t> reply) {
+  net::Writer w;
+  w.u64(1);  // qid
+  w.u64(rid);
+  w.boolean(true);  // AND
+  w.vec(inputs, [](net::Writer& out, std::uint64_t in) { out.u64(in); });
+  w.vec(exprs, [](net::Writer& out, const std::string& e) { out.str(e); });
+  w.boolean(false);  // no ring
+  if (reply.has_value()) w.u8(*reply);
+  return std::move(w).take();
+}
+
+// kLogFragment's trailing deposit and a ring-less kCombineExec's reply byte
+// are mandatory: a frame that stops right before either is rejected by the
 // owner's real handler and changes no state. The complete frame is the
 // control.
 TEST(CodecTruncation, MissingMandatoryTrailingFieldIsRejected) {
@@ -423,24 +443,20 @@ TEST(CodecTruncation, MissingMandatoryTrailingFieldIsRejected) {
   EXPECT_EQ(owner.storage().size(), 1u);
   EXPECT_EQ(owner.deposits().at(77), bn::BigUInt(12345));
 
-  auto exec = [](std::uint64_t rid, bool with_reply) {
-    net::Writer w;
-    w.u64(1);  // qid
-    w.u64(rid);
-    w.str("Time > 0");
-    if (with_reply) w.u8(0);  // stage
-    return std::move(w).take();
-  };
-  EXPECT_EQ(codec_rejects_of(kSubqueryExec, exec(2, false)), 1u);
+  EXPECT_EQ(codec_rejects_of(kCombineExec,
+                             ringless_combine(2, {}, {"Time > 0"}, {})),
+            1u);
   EXPECT_EQ(owner.session_residue(), 0u);  // no result set buffered
-  EXPECT_EQ(codec_rejects_of(kSubqueryExec, exec(3, true)), 0u);
+  EXPECT_EQ(codec_rejects_of(kCombineExec,
+                             ringless_combine(3, {}, {"Time > 0"}, 0)),
+            0u);  // stage
   EXPECT_EQ(owner.session_residue(), 1u);
   reset_wire_reject_counters();
 }
 
-// The reply byte of kSubqueryExec is 0 (stage), 1 (count) or 2 (set); any
-// other value is rejected before the owner touches any state, so the same
-// rid still executes once a well-formed frame arrives.
+// The reply byte of a ring-less kCombineExec is 0 (stage), 1 (count) or
+// 2 (set); any other value is rejected before the owner touches any state,
+// so the same rid still executes once a well-formed frame arrives.
 TEST(CodecTruncation, UnknownSubqueryReplyModeIsRejected) {
   Cluster::Options options;
   options.schema = logm::paper_schema();
@@ -449,14 +465,9 @@ TEST(CodecTruncation, UnknownSubqueryReplyModeIsRejected) {
   DlaNode& owner = cluster.dla(0);
   const net::NodeId gateway = cluster.dla(1).id();
   auto exec = [&](std::uint8_t reply) {
-    net::Writer w;
-    w.u64(1);  // qid
-    w.u64(9);  // rid
-    w.str("Time > 0");
-    w.u8(reply);
     reset_wire_reject_counters();
-    cluster.sim().send(gateway, owner.id(), kSubqueryExec,
-                       std::move(w).take());
+    cluster.sim().send(gateway, owner.id(), kCombineExec,
+                       ringless_combine(9, {}, {"Time > 0"}, reply));
     cluster.run();
   };
   exec(3);
@@ -467,6 +478,42 @@ TEST(CodecTruncation, UnknownSubqueryReplyModeIsRejected) {
   EXPECT_EQ(wire_reject_counters().codec_rejects, 0u);
   EXPECT_EQ(owner.replay_drops(), 0u);
   EXPECT_EQ(owner.session_residue(), 1u);  // the rid was still fresh
+  reset_wire_reject_counters();
+}
+
+// A kCombineExec whose local expression does not parse is refused before
+// the owner marks its rid or consumes a staged input, so the genuine frame
+// for that rid still merges the input and answers.
+TEST(CodecTruncation, UnparseableCombineExpressionChangesNothing) {
+  Cluster::Options options;
+  options.schema = logm::paper_schema();
+  options.partition = logm::paper_partition();
+  Cluster cluster(options);
+  DlaNode& owner = cluster.dla(0);
+  const net::NodeId gateway = cluster.dla(1).id();
+  std::vector<std::uint32_t> answers;
+  cluster.sim().set_deliver_hook([&](const net::Message& msg) {
+    if (msg.dst == gateway) answers.push_back(msg.type);
+  });
+  auto exec = [&](net::Bytes payload) {
+    reset_wire_reject_counters();
+    answers.clear();
+    cluster.sim().send(gateway, owner.id(), kCombineExec, std::move(payload));
+    cluster.run();
+  };
+  exec(ringless_combine(4, {}, {"Time > 0"}, 0));  // stage rid 4
+  ASSERT_EQ(owner.session_residue(), 1u);
+  exec(ringless_combine(5, {4}, {"Time >"}, 2));
+  EXPECT_EQ(wire_reject_counters().parse_rejects, 1u);
+  EXPECT_EQ(owner.session_residue(), 1u);  // rid 4 still staged
+  EXPECT_EQ(owner.replay_drops(), 0u);
+  EXPECT_TRUE(answers.empty());
+  exec(ringless_combine(5, {4}, {"Time > 0"}, 2));
+  EXPECT_EQ(wire_reject_counters().parse_rejects, 0u);
+  EXPECT_EQ(owner.replay_drops(), 0u);  // rid 5 was still fresh
+  EXPECT_EQ(owner.session_residue(), 0u);  // rid 4 consumed
+  EXPECT_EQ(answers, std::vector<std::uint32_t>{kSubqueryData});
+  cluster.sim().set_deliver_hook(nullptr);
   reset_wire_reject_counters();
 }
 

@@ -454,10 +454,10 @@ TEST_F(E2eFixture, InformationFlowStaysInsideTheCluster) {
 
 TEST_F(E2eFixture, ConjunctsLandingOnOneNodeMergeWithoutARing) {
   // The C1 < C2 join lands at P3 (C1's owner), which also owns protocl: P3
-  // merges both conjunct results in plaintext and answers the gateway, so
-  // no ring runs and no modular exponentiation happens. The 12 messages:
-  // query, exec + done, 2 join execs, 2 batches, batch result + done,
-  // combine exec + data, result.
+  // evaluates the protocl conjunct, merges it with the join result in
+  // plaintext and answers the gateway, so no ring runs and no modular
+  // exponentiation happens. The 10 messages: query, 2 join execs,
+  // 2 batches, batch result + done, combine exec + data, result.
   const char* criterion = "C1 < C2 AND protocl = 'UDP'";
   std::vector<logm::Glsn> expected;
   Expr e = parse(criterion, cluster.config()->schema);
@@ -473,13 +473,14 @@ TEST_F(E2eFixture, ConjunctsLandingOnOneNodeMergeWithoutARing) {
   ASSERT_TRUE(outcome.ok) << outcome.error;
   EXPECT_EQ(outcome.glsns, expected);
   EXPECT_EQ(crypto_op_counters().modexp_count, 0u);
-  EXPECT_EQ(cluster.sim().stats().messages_sent, 12u);
+  EXPECT_EQ(cluster.sim().stats().messages_sent, 10u);
 }
 
 TEST_F(E2eFixture, QueryMessageCountsThroughAGatewayOwningNoAttribute) {
-  // P0 owns only Time. A one-task plan is answered by its owner directly
-  // (query, exec, data, result); a two-owner conjunction runs a two-party
-  // ring that each owner joins on its kCombineExec.
+  // P0 owns only Time. A local query is answered by its owner on a
+  // ring-less kCombineExec (query, exec, data, result). Each input of a
+  // two-owner conjunction or union rides the kCombineExec that puts its
+  // owner in the two-party ring: query, 2 execs, 7 ring frames, result.
   cluster.user(0).set_gateway(0);
   auto messages_for = [&](const char* criterion) {
     cluster.sim().reset_stats();
@@ -488,7 +489,60 @@ TEST_F(E2eFixture, QueryMessageCountsThroughAGatewayOwningNoAttribute) {
     return cluster.sim().stats().messages_sent;
   };
   EXPECT_EQ(messages_for("protocl = 'UDP'"), 4u);
-  EXPECT_EQ(messages_for("id = 'U1' AND protocl = 'UDP'"), 15u);
+  EXPECT_EQ(messages_for("id = 'U1' AND protocl = 'UDP'"), 11u);
+  EXPECT_EQ(messages_for("id = 'U1' OR protocl = 'UDP'"), 11u);
+}
+
+TEST_F(E2eFixture, LocalQueryAtItsOwningGatewaySendsNoTaskMessage) {
+  // id and C2 both live on P1: as the gateway, P1 evaluates the query in
+  // place, so only the query and its result travel.
+  cluster.user(0).set_gateway(1);
+  cluster.sim().reset_stats();
+  auto outcome = run_query("id = 'U1' AND C2 > 100.0");
+  ASSERT_TRUE(outcome.ok) << outcome.error;
+  EXPECT_EQ(outcome.glsns, (std::vector<logm::Glsn>{row(2)}));
+  EXPECT_EQ(cluster.sim().stats().messages_sent, 2u);
+  for (std::size_t i = 0; i < cluster.dla_count(); ++i) {
+    EXPECT_EQ(cluster.dla(i).session_residue(), 0u) << "P" << i;
+  }
+}
+
+TEST_F(E2eFixture, OrCombineUnitesOneOwnersSubqueriesEvaluatedApart) {
+  // id and C2 both live on P1, so P1 gets both of their disjuncts in one
+  // kCombineExec. Evaluated as one `id = 'U1' OR C2 > 300.0`, a record
+  // lacking id would be dropped even when its C2 matches; evaluated apart,
+  // the union keeps it.
+  auto partial = [](std::size_t row_index, const char* drop,
+                    const char* attr, logm::Value value) {
+    auto attrs = logm::paper_table1_records()[row_index].attrs;
+    attrs.erase(drop);
+    attrs[attr] = std::move(value);
+    return attrs;
+  };
+  const std::vector<std::map<std::string, logm::Value>> extra = {
+      partial(0, "id", "C2", logm::Value(400.0)),  // matches on C2 alone
+      partial(1, "C2", "id", logm::Value("U1")),   // matches on id alone
+      partial(0, "id", "C2", logm::Value(5.0)),    // matches nothing
+  };
+  std::vector<logm::Glsn> extra_glsns;
+  for (const auto& attrs : extra) {
+    cluster.user(0).log_record(cluster.sim(), attrs,
+                               [&](std::optional<logm::Glsn> glsn) {
+                                 ASSERT_TRUE(glsn.has_value());
+                                 extra_glsns.push_back(*glsn);
+                               });
+    cluster.run();
+  }
+  ASSERT_EQ(extra_glsns.size(), 3u);
+  cluster.user(0).set_gateway(0);
+  auto outcome = run_query("id = 'U1' OR C2 > 300.0 OR protocl = 'TCP'");
+  ASSERT_TRUE(outcome.ok) << outcome.error;
+  // Every paper row matches a disjunct: U1, C2 345.11, U1, TCP, TCP.
+  std::vector<logm::Glsn> expected = glsns;
+  expected.push_back(extra_glsns[0]);
+  expected.push_back(extra_glsns[1]);
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(outcome.glsns, expected);
 }
 
 TEST_F(E2eFixture, ConcurrentQueriesFromMultipleUsersAllAnswer) {

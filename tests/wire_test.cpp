@@ -131,7 +131,7 @@ TEST(Wire, MalformedPayloadsDoNotCrashNodes) {
   Cluster cluster(Cluster::Options{logm::paper_schema(), 3, 1,
                                    std::nullopt, 1, true});
   // Garbage at every protocol message type, plus unknown types: the retired
-  // ids 0x14, 0x22, 0x84 and 0x88 and one never assigned.
+  // ids 0x14, 0x22, 0x82, 0x84 and 0x88 and one never assigned.
   std::vector<std::uint32_t> types = {
       kGlsnRequest, kGlsnForward, kGlsnPropose,   kGlsnVote,
       0x14,         kGlsnReply,   kLogFragment,   0x22,
@@ -139,7 +139,7 @@ TEST(Wire, MalformedPayloadsDoNotCrashNodes) {
       kSetFull,     kSetDecrypt,  kSetResult,     kSumStart,
       kSumShare,    kSumEval,     kSumResult,     kCmpParams,
       kCmpResult,   kRankResult,  kIntegrityPass, kAuditQuery,
-      kSubqueryExec, kJoinExec,   kCombineExec,   0x88,
+      0x82,         kJoinExec,    kCombineExec,   0x88,
       kSubqueryDone, kCmpBatchResult, 0x84, kSubqueryData,
       0xdeadbeef};
   net::NodeId target = cluster.config()->dla_nodes[0];

@@ -420,7 +420,8 @@ int main(int argc, char** argv) {
       // the checked-in value (+250us absolute floor for tiny quantities);
       // confidentiality must match to 1e-9 — the metrics are functions of
       // the spec-fixed op stream only. Message counts repeat exactly for a
-      // spec, so a count may not exceed its baseline at all.
+      // spec, so a count must equal its baseline: a fall left unrecorded
+      // would let a later change add those messages back unseen.
       for (const auto& [metric, value] : baseline_metrics(a)) {
         new_baseline[scope + " " + metric] = value;
         if (write_baseline || !found_baseline) continue;
@@ -437,10 +438,11 @@ int main(int argc, char** argv) {
                                fmt(it->second) + " to " + fmt(value));
           }
         } else if (is_count(metric)) {
-          if (value > it->second) {
-            failures.push_back(scope + ": " + metric + " regressed: " +
+          if (value != it->second) {
+            failures.push_back(scope + ": " + metric + " moved: " +
                                fmt(value) + " messages vs baseline " +
-                               fmt(it->second));
+                               fmt(it->second) +
+                               " (regenerate the baseline if intended)");
           }
         } else if (value > it->second * 1.25 + 250.0) {
           failures.push_back(scope + ": " + metric + " regressed: " +
