@@ -11,9 +11,13 @@
 // verify path while never revealing fragments between nodes.
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
 #include "audit/cluster.hpp"
 #include "baseline/signature_integrity.hpp"
 #include "crypto/accumulator.hpp"
+#include "crypto/modexp_engine.hpp"
 #include "logm/workload.hpp"
 
 using namespace dla;
@@ -27,24 +31,46 @@ std::vector<logm::LogRecord> workload(std::size_t records) {
   return logm::generate_workload(spec, rng);
 }
 
-// Write-path cost: fold all fragments of each record into the accumulator.
+// Write-path cost: the user's deposit over all fragments of each record,
+// as UserNode computes it (one fixed-base comb power of x0 through the
+// accumulator handle the user builds once).
 void BM_AccumulatorWrite(benchmark::State& state) {
   const std::size_t n_nodes = static_cast<std::size_t>(state.range(0));
   auto partition =
       logm::AttributePartition::round_robin(logm::paper_schema(), n_nodes);
   auto records = workload(16);
-  auto params = crypto::Accumulator::Params::fixed256();
+  const crypto::AccumulatorStepper stepper(
+      crypto::Accumulator::Params::fixed256(), n_nodes);
   for (auto _ : state) {
     for (const auto& rec : records) {
-      crypto::Accumulator acc(params);
+      std::vector<std::string> items;
       for (const auto& frag : partition.fragment(rec)) {
-        acc.add(frag.canonical());
+        items.push_back(frag.canonical());
       }
-      benchmark::DoNotOptimize(acc.value());
+      benchmark::DoNotOptimize(stepper.deposit(items));
     }
   }
   state.counters["nodes"] = static_cast<double>(n_nodes);
   state.counters["records"] = 16;
+}
+
+// One fixed-base power with an exponent as wide as the modulus, through the
+// process-wide comb (the threshold-Schnorr nonce and Feldman shape).
+void BM_FixedBasePow(benchmark::State& state) {
+  const std::size_t bits = static_cast<std::size_t>(state.range(0));
+  crypto::ChaCha20Rng rng(29);
+  bn::BigUInt m = bn::BigUInt::random_bits(rng, bits);
+  if (m.is_even()) m += bn::BigUInt(1);
+  auto comb = crypto::FixedBaseEngine::shared(
+      bn::BigUInt::random_below(rng, m), m);
+  std::vector<bn::BigUInt> exponents;
+  for (int i = 0; i < 64; ++i) {
+    exponents.push_back(bn::BigUInt::random_below(rng, m));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(comb->pow(exponents[i++ % exponents.size()]));
+  }
 }
 
 void BM_SignatureWrite(benchmark::State& state) {
@@ -166,6 +192,7 @@ void BM_AccumulatorTamperDetection(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_AccumulatorWrite)->Unit(benchmark::kMillisecond)->Arg(4)->Arg(8);
+BENCHMARK(BM_FixedBasePow)->Unit(benchmark::kMicrosecond)->Arg(256)->Arg(1024);
 BENCHMARK(BM_SignatureWrite)->Unit(benchmark::kMillisecond)->Arg(4)->Arg(8);
 BENCHMARK(BM_AccumulatorVerifyDistributed)
     ->Unit(benchmark::kMillisecond)

@@ -68,7 +68,7 @@ void DlaNode::configure(ConfigPtr cfg, std::size_t index) {
   cfg_ = std::move(cfg);
   index_ = index;
   tickets_.emplace(cfg_->ticket_key);
-  accum_stepper_.emplace(cfg_->accum_params);
+  accum_stepper_.emplace(cfg_->accum_params, cfg_->cluster_size());
   signer_set_.clear();
   signer_lambdas_.clear();
   if (cfg_->threshold_params.has_value() && cfg_->sign_threshold_k >= 1 &&
@@ -1370,8 +1370,8 @@ std::string DlaNode::fragment_canonical_or_missing(logm::Glsn glsn) const {
 void DlaNode::start_integrity_check(net::Transport& sim, SessionId session,
                                     logm::Glsn glsn) {
   integrity_initiated_.insert(session);
-  bn::BigUInt value = accum_stepper_->step(
-      cfg_->accum_params.x0, fragment_canonical_or_missing(glsn));
+  bn::BigUInt value =
+      accum_stepper_->deposit({fragment_canonical_or_missing(glsn)});
   net::Writer w;
   w.u64(session);
   w.u64(glsn);
@@ -1836,12 +1836,6 @@ void DlaNode::handle_join_exec(net::Transport& sim, const net::Message& msg) {
   net::Reader r(msg.payload);
   std::uint64_t qid = r.u64();
   std::uint64_t rid = r.u64();
-  // One batch per side per rid: a replayed kJoinExec would feed the TTP a
-  // second batch for a comparison it may already have served.
-  if (task_rid_guard_.check_and_mark(rid)) {
-    ++replay_drops_;
-    return;
-  }
   std::uint8_t side = r.u8();
   std::string lhs_attr = r.str();
   auto op = static_cast<CmpOp>(r.u8());
@@ -1851,6 +1845,13 @@ void DlaNode::handle_join_exec(net::Transport& sim, const net::Message& msg) {
   bn::BigUInt b = r.big();
   net::NodeId result_owner = r.u32();
   r.expect_end();
+  // One batch per side per rid: a replayed kJoinExec would feed the TTP a
+  // second batch for a comparison it may already have served. Marked only
+  // once the frame decoded, so a truncated copy cannot spend the rid.
+  if (task_rid_guard_.check_and_mark(rid)) {
+    ++replay_drops_;
+    return;
+  }
 
   const std::string& attr = side == 0 ? lhs_attr : rhs_attr;
   const bn::BigUInt& p = cfg_->shamir_prime;
@@ -1886,14 +1887,14 @@ void DlaNode::handle_cmp_batch_result(net::Transport& sim,
   net::Reader r(msg.payload);
   std::uint64_t rid = r.u64();
   std::uint64_t qid = r.u64();
-  if (batch_result_guard_.check_and_mark(rid)) {
-    ++replay_drops_;
-    return;
-  }
   net::NodeId gateway = r.u32();
   auto glsns =
       r.vec<logm::Glsn>([](net::Reader& in) { return in.u64(); });
   r.expect_end();
+  if (batch_result_guard_.check_and_mark(rid)) {
+    ++replay_drops_;
+    return;
+  }
   sort_unique(glsns);
   answer_task(sim, gateway, qid, rid, TaskReply::Stage, std::move(glsns));
 }

@@ -402,7 +402,7 @@ class DlaNode : public net::Node {
       std::make_unique<logm::MemoryEngine>();
   logm::AccessControlTable acl_;
   std::map<logm::Glsn, bn::BigUInt> deposits_;
-  std::optional<crypto::AccumulatorStepper> accum_stepper_;  // for params.n
+  std::optional<crypto::AccumulatorStepper> accum_stepper_;  // circulation
 
   // failure detector state.
   bool heartbeats_on_ = false;

@@ -1,8 +1,11 @@
 #include "audit/query.hpp"
 
+#include <array>
 #include <cctype>
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 namespace dla::audit {
 
@@ -135,13 +138,22 @@ class Lexer {
     }
     std::string body(src_.substr(start, pos_ - start));
     Token tok{TokKind::Number, body};
+    const char* first = body.data();
+    const char* last = first + body.size();
+    std::from_chars_result res{};
     if (has_dot) {
-      tok.number = std::stod(body);
+      res = std::from_chars(first, last, tok.number);
       tok.number_is_int = false;
     } else {
-      tok.int_value = std::stoll(body);
+      res = std::from_chars(first, last, tok.int_value);
       tok.number = static_cast<double>(tok.int_value);
       tok.number_is_int = true;
+    }
+    if (res.ec == std::errc::result_out_of_range) {
+      throw ParseError("number '" + body + "' out of range");
+    }
+    if (res.ec != std::errc() || res.ptr != last) {
+      throw ParseError("malformed number '" + body + "'");
     }
     return tok;
   }
@@ -527,6 +539,22 @@ bool evaluate(const Expr& expr,
   throw std::logic_error("evaluate: corrupt expression");
 }
 
+namespace {
+
+// The shortest fixed-notation text that reads back as the same double,
+// always with a '.', so the lexer reads it back as the same real.
+std::string real_text(double v) {
+  // Fixed notation of a double takes at most 327 characters.
+  std::array<char, 400> buf{};
+  auto res = std::to_chars(buf.data(), buf.data() + buf.size(), v,
+                           std::chars_format::fixed);
+  std::string text(buf.data(), res.ptr);
+  if (text.find('.') == std::string::npos) text += ".0";
+  return text;
+}
+
+}  // namespace
+
 std::string to_text(const Expr& expr) {
   switch (expr.kind) {
     case Expr::Kind::Pred: {
@@ -540,7 +568,7 @@ std::string to_text(const Expr& expr) {
       } else if (p.rhs_const.type() == logm::ValueType::Int) {
         os << p.rhs_const.as_int();
       } else {
-        os << p.rhs_const.as_real();
+        os << real_text(p.rhs_const.as_real());
       }
       return os.str();
     }

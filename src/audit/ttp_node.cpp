@@ -170,18 +170,19 @@ void TtpNode::handle_scalar_init(net::Transport& sim,
                                  const net::Message& msg) {
   net::Reader r(msg.payload);
   SessionId session = r.u64();
-  // A duplicated init must not deal fresh randomness: if the parties mixed
-  // the two dealings (reordering can interleave them), ra + rb would no
-  // longer equal Ra.Rb and the product would be silently wrong.
-  if (scalar_init_guard_.check_and_mark(session)) {
-    ++replay_drops_;
-    return;
-  }
   net::NodeId alice = r.u32();
   net::NodeId bob = r.u32();
   std::uint32_t length = r.u32();
   std::vector<net::NodeId> observers = decode_node_ids(r);
   r.expect_end();
+  // A duplicated init must not deal fresh randomness: if the parties mixed
+  // the two dealings (reordering can interleave them), ra + rb would no
+  // longer equal Ra.Rb and the product would be silently wrong. Marked only
+  // once the frame decoded, so a truncated copy cannot spend the session.
+  if (scalar_init_guard_.check_and_mark(session)) {
+    ++replay_drops_;
+    return;
+  }
 
   const bn::BigUInt& p = cfg_->shamir_prime;
   std::vector<bn::BigUInt> ra_vec(length), rb_vec(length);

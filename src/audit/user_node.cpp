@@ -9,6 +9,7 @@ UserNode::UserNode(std::string name) : name_(std::move(name)) {}
 void UserNode::configure(ConfigPtr cfg, Ticket ticket) {
   cfg_ = std::move(cfg);
   ticket_ = std::move(ticket);
+  accum_stepper_.emplace(cfg_->accum_params, cfg_->cluster_size());
 }
 
 net::NodeId UserNode::pick_gateway() {
@@ -65,9 +66,10 @@ void UserNode::handle_glsn_reply(net::Transport& sim,
   record.glsn = glsn;
   record.attrs = pending.attrs;
   auto fragments = cfg_->partition.fragment(record);
-  crypto::Accumulator acc(cfg_->accum_params);
-  for (const auto& frag : fragments) acc.add(frag.canonical());
-  const bn::BigUInt deposit = acc.value();
+  std::vector<std::string> items;
+  items.reserve(fragments.size());
+  for (const auto& frag : fragments) items.push_back(frag.canonical());
+  const bn::BigUInt deposit = accum_stepper_->deposit(items);
 
   // Fragment i goes to its primary P_i plus the next replication-1 ring
   // successors (replica copies keep queries available across a crash).

@@ -121,6 +121,7 @@ class UserNode : public net::Node {
   std::string name_;
   ConfigPtr cfg_;
   Ticket ticket_;
+  std::optional<crypto::AccumulatorStepper> accum_stepper_;  // deposits
   std::uint64_t next_reqid_ = 1;
   std::uint64_t gateway_rr_ = 0;  // round-robin over DLA nodes
   std::optional<std::size_t> pinned_gateway_;

@@ -5,6 +5,13 @@
 
 namespace dla::crypto {
 
+namespace {
+
+// item_exponent() is a SHA-256 digest, made odd without a carry.
+constexpr std::size_t kItemExponentBits = 256;
+
+}  // namespace
+
 Accumulator::Params Accumulator::Params::generate(ChaCha20Rng& rng,
                                                   std::size_t bits) {
   bn::BigUInt p = bn::generate_prime(rng, bits / 2);
@@ -50,12 +57,23 @@ Accumulator& Accumulator::add(std::string_view item) {
   return *this;
 }
 
-AccumulatorStepper::AccumulatorStepper(const Accumulator::Params& params)
-    : mont_(params.n) {}
+AccumulatorStepper::AccumulatorStepper(const Accumulator::Params& params,
+                                       std::size_t items)
+    : x0_comb_(FixedBaseEngine::shared(params.x0, params.n,
+                                       kItemExponentBits * items)) {}
+
+bn::BigUInt AccumulatorStepper::deposit(
+    const std::vector<std::string>& items) const {
+  bn::BigUInt exponent(1);
+  for (const auto& item : items) {
+    exponent *= Accumulator::item_exponent(item);
+  }
+  return x0_comb_->pow(exponent);
+}
 
 bn::BigUInt AccumulatorStepper::step(const bn::BigUInt& current,
                                      std::string_view item) const {
-  return Accumulator::step_with(mont_, current, item);
+  return Accumulator::step_with(x0_comb_->context(), current, item);
 }
 
 }  // namespace dla::crypto

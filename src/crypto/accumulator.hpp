@@ -12,10 +12,14 @@
 // probability, keeping the map collision-resistant).
 #pragma once
 
+#include <memory>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "bignum/biguint.hpp"
 #include "bignum/montgomery.hpp"
+#include "crypto/modexp_engine.hpp"
 #include "crypto/rng.hpp"
 
 namespace dla::crypto {
@@ -62,18 +66,31 @@ class Accumulator {
   bn::BigUInt value_;
 };
 
-// Key handle for the circulation step of the distributed integrity check: it
-// owns the Montgomery context for params.n so protocol code can fold many
-// steps efficiently without touching raw bignum kernels (dla_lint's
+// Key handle for one parameter set's accumulator on the protocol path: the
+// user's deposit and the steps of the distributed integrity check, so
+// protocol code never touches raw bignum kernels (dla_lint's
 // crypto-boundary rule keeps those confined to the crypto layer).
+//
+// A deposit folds one item per fragment. By Eq. 9 its value is x0 raised
+// to the product of the items' exponents, so it is one power of the fixed
+// base x0: the handle takes it through the process-wide FixedBaseEngine
+// comb for (x0, n) sized at 256 bits (an item exponent's width) per item,
+// built once per parameter set and item count and shared by every handle.
+// The product is taken in Z, unreduced, so a deposit is bit-identical to
+// folding the items one by one with Accumulator::add.
 class AccumulatorStepper {
  public:
-  explicit AccumulatorStepper(const Accumulator::Params& params);
+  // `items`: how many items a deposit folds (the cluster size). A deposit
+  // of more items is still exact, through the comb's wide fallback.
+  AccumulatorStepper(const Accumulator::Params& params, std::size_t items);
 
+  // A(x0, items...): the value Accumulator::add leaves after every item.
+  bn::BigUInt deposit(const std::vector<std::string>& items) const;
+  // A(current, item): one later step of a circulation.
   bn::BigUInt step(const bn::BigUInt& current, std::string_view item) const;
 
  private:
-  bn::MontgomeryContext mont_;
+  std::shared_ptr<const FixedBaseEngine> x0_comb_;
 };
 
 }  // namespace dla::crypto

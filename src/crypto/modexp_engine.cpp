@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
@@ -13,6 +14,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 namespace dla::crypto {
@@ -316,50 +318,74 @@ void ModExpEngine::pow_batch(std::span<bn::BigUInt> bases) const {
 FixedBaseEngine::FixedBaseEngine(
     std::shared_ptr<const bn::MontgomeryContext> ctx, const bn::BigUInt& base,
     std::size_t max_exponent_bits)
-    : ctx_(std::move(ctx)), base_(base), max_bits_(max_exponent_bits) {
+    : ctx_(std::move(ctx)),
+      base_(base),
+      columns_(std::max<std::size_t>((max_exponent_bits + kTeeth - 1) / kTeeth,
+                                     1)) {
   if (!ctx_) throw std::invalid_argument("FixedBaseEngine: null context");
-  const std::size_t n = ctx_->limb_count();
-  windows_ = (max_bits_ + 1) / 2;
-  table_.resize(3 * windows_ * n);
+  constexpr std::size_t kEntries = (std::size_t{1} << kTeeth) - 1;
+  table_.resize(kEntries * ctx_->limb_count());
   std::vector<u64> scratch(ctx_->scratch_limbs());
-  bn::MontgomeryContext::Limbs cur = ctx_->to_mont(base_);
-  for (std::size_t w = 0; w < windows_; ++w) {
-    u64* slot = table_.data() + 3 * w * n;
-    std::copy_n(cur.data(), n, slot);                        // base^(1<<2w)
-    ctx_->mont_sqr_raw(slot, slot + n, scratch.data());                // ^2
-    ctx_->mont_mul_raw(slot + n, slot, slot + 2 * n, scratch.data());  // ^3
-    ctx_->mont_sqr_raw(slot + n, cur.data(), scratch.data());          // ^4
+  // The teeth: each row's is the one below it squared d times.
+  ctx_->to_mont_raw(base_, entry(1), scratch.data());
+  for (std::size_t j = 1; j < kTeeth; ++j) {
+    u64* tooth = entry(std::size_t{1} << j);
+    ctx_->mont_sqr_raw(entry(std::size_t{1} << (j - 1)), tooth,
+                       scratch.data());
+    for (std::size_t s = 1; s < columns_; ++s) {
+      ctx_->mont_sqr_raw(tooth, tooth, scratch.data());
+    }
+  }
+  // Every other entry is its highest tooth times the entry below it.
+  for (std::size_t v = 3; v <= kEntries; ++v) {
+    const std::size_t high = std::bit_floor(v);
+    if (high == v) continue;
+    ctx_->mont_mul_raw(entry(high), entry(v - high), entry(v), scratch.data());
   }
 }
 
 bn::BigUInt FixedBaseEngine::pow(const bn::BigUInt& exponent) const {
-  if (exponent.bit_length() > max_bits_) {
+  g_modexp_count.fetch_add(1, std::memory_order_relaxed);
+  if (exponent.bit_length() > max_exponent_bits()) {
     // Outside the comb's range (callers normally reduce exponents mod the
     // group order first): correctness over speed.
-    g_modexp_count.fetch_add(1, std::memory_order_relaxed);
     return ctx_->pow(base_, exponent);
   }
-  g_modexp_count.fetch_add(1, std::memory_order_relaxed);
+  if (exponent.is_zero()) return bn::BigUInt(1) % ctx_->modulus();
+  const std::vector<u64>& e = exponent.limbs();
+  auto bit = [&e](std::size_t i) -> std::size_t {
+    return i / 64 < e.size() ? (e[i / 64] >> (i % 64)) & 1 : 0;
+  };
   const std::size_t n = ctx_->limb_count();
   std::vector<u64> ws(n + ctx_->scratch_limbs());
   u64* acc = ws.data();
   u64* scratch = acc + n;
-  std::copy_n(ctx_->mont_one().data(), n, acc);
-  const std::size_t bits = exponent.bit_length();
-  for (std::size_t w = 0; 2 * w < bits; ++w) {
-    std::uint32_t v = (exponent.bit(2 * w) ? 1u : 0u) |
-                      (exponent.bit(2 * w + 1) ? 2u : 0u);
-    if (v != 0) {
-      ctx_->mont_mul_raw(acc, table_.data() + (3 * w + v - 1) * n, acc,
-                         scratch);
+  bool started = false;  // acc still 1: skip its squarings
+  for (std::size_t c = columns_; c-- > 0;) {
+    if (started) ctx_->mont_sqr_raw(acc, acc, scratch);
+    std::size_t v = 0;
+    for (std::size_t j = 0; j < kTeeth; ++j) v |= bit(j * columns_ + c) << j;
+    if (v == 0) continue;
+    if (started) {
+      ctx_->mont_mul_raw(acc, entry(v), acc, scratch);
+    } else {
+      std::copy_n(entry(v), n, acc);
+      started = true;
     }
   }
-  return ctx_->from_mont(bn::MontgomeryContext::Limbs(acc, acc + n));
+  ctx_->redc_raw(acc, acc, scratch);
+  return bn::BigUInt::from_limbs(bn::MontgomeryContext::Limbs(acc, acc + n));
 }
 
 std::shared_ptr<const FixedBaseEngine> FixedBaseEngine::shared(
     const bn::BigUInt& base, const bn::BigUInt& modulus) {
-  using Key = std::pair<std::string, std::string>;
+  return shared(base, modulus, modulus.bit_length());
+}
+
+std::shared_ptr<const FixedBaseEngine> FixedBaseEngine::shared(
+    const bn::BigUInt& base, const bn::BigUInt& modulus,
+    std::size_t max_exponent_bits) {
+  using Key = std::tuple<std::string, std::string, std::size_t>;
   using Entry = std::pair<Key, std::shared_ptr<const FixedBaseEngine>>;
   static std::mutex mu;
   // True LRU: a recency list (front = most recent) plus a map into it.
@@ -369,7 +395,7 @@ std::shared_ptr<const FixedBaseEngine> FixedBaseEngine::shared(
   static std::list<Entry> order;
   static std::map<Key, std::list<Entry>::iterator> index;
   constexpr std::size_t kCapacity = 16;
-  Key key{base.to_hex(), modulus.to_hex()};
+  Key key{base.to_hex(), modulus.to_hex(), max_exponent_bits};
   std::lock_guard<std::mutex> lock(mu);
   if (auto it = index.find(key); it != index.end()) {
     order.splice(order.begin(), order, it->second);  // mark most-recent
@@ -377,7 +403,7 @@ std::shared_ptr<const FixedBaseEngine> FixedBaseEngine::shared(
   }
   auto engine = std::make_shared<const FixedBaseEngine>(
       std::make_shared<bn::MontgomeryContext>(modulus), base,
-      modulus.bit_length());
+      max_exponent_bits);
   while (order.size() >= kCapacity) {
     index.erase(order.back().first);
     order.pop_back();

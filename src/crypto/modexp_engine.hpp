@@ -26,9 +26,11 @@
 //     done, so actor handlers stay run-to-completion; parallelism is only
 //     across elements and results are bit-identical to the serial path.
 //
-// FixedBaseEngine is the transpose: a 2-bit comb table of base powers built
-// once per (base, modulus), after which each exponentiation is multiplies
-// only (no squarings) — the g^k / g^s / y^c shapes of Schnorr and Feldman.
+// FixedBaseEngine is the transpose: an 8-tooth Lim-Lee comb (Lim & Lee,
+// CRYPTO '94) of base products built once per (base, modulus, width), after
+// which a b-bit exponent costs ceil(b/8) - 1 squarings and at most
+// ceil(b/8) multiplies — the g^k / g^s / y^c shapes of Schnorr and Feldman,
+// and the accumulator's x0^(e1*...*en) deposit.
 //
 // Global modexp_count / modexp_batch_count counters (surfaced through
 // audit/metrics) make the per-protocol exponentiation budget observable in
@@ -113,31 +115,52 @@ class ModExpEngine {
   std::size_t table_entries_ = 0;   // odd powers: 2^(window_bits-1)
 };
 
-// Fixed base, varying exponent: C_i = base ^ e_i mod m, via a 2-bit comb
-// table over exponents of up to max_exponent_bits bits (larger exponents
-// fall back to the generic windowed path).
+// Fixed base, varying exponent: C_i = base ^ e_i mod m, through an 8-tooth
+// Lim-Lee comb. The comb covers exponents of up to w = 8 * d bits, with
+// d = ceil(max_exponent_bits / 8) columns: an exponent is read as eight rows
+// of d bits, and column c gathers bit c of every row into an index
+// v = sum_j e[j*d + c] << j. The table holds the 255 products
+// base^(sum_{j in v} 2^(j*d)), so one pass over the columns, MSB first,
+// squares once per column and multiplies by at most one table entry.
+// Exponents wider than w fall back to MontgomeryContext::pow.
 class FixedBaseEngine {
  public:
   FixedBaseEngine(std::shared_ptr<const bn::MontgomeryContext> ctx,
                   const bn::BigUInt& base, std::size_t max_exponent_bits);
 
   const bn::MontgomeryContext& context() const { return *ctx_; }
+  // Widest exponent the comb covers (max_exponent_bits rounded up to 8).
+  std::size_t max_exponent_bits() const { return kTeeth * columns_; }
 
+  // base ^ exponent mod m; counted as one modexp.
   bn::BigUInt pow(const bn::BigUInt& exponent) const;
 
-  // Process-wide cache keyed by (base, modulus): threshold-Schnorr and DKG
-  // call sites share one comb table per generator/public key instead of
-  // rebuilding per message. Bounded (small LRU); thread-safe.
+  // Process-wide cache keyed by (base, modulus, width): threshold-Schnorr,
+  // DKG and the accumulator share one comb per generator, public key or
+  // deposit width instead of rebuilding it per message. Without a width
+  // the comb covers the modulus' width. Bounded (small LRU); thread-safe.
   static std::shared_ptr<const FixedBaseEngine> shared(
       const bn::BigUInt& base, const bn::BigUInt& modulus);
+  static std::shared_ptr<const FixedBaseEngine> shared(
+      const bn::BigUInt& base, const bn::BigUInt& modulus,
+      std::size_t max_exponent_bits);
 
  private:
+  static constexpr std::size_t kTeeth = 8;
+
+  // Table entry for index v in 1..255, limb_count() limbs.
+  std::uint64_t* entry(std::size_t v) {
+    return table_.data() + (v - 1) * ctx_->limb_count();
+  }
+  const std::uint64_t* entry(std::size_t v) const {
+    return table_.data() + (v - 1) * ctx_->limb_count();
+  }
+
   std::shared_ptr<const bn::MontgomeryContext> ctx_;
   bn::BigUInt base_;
-  std::size_t max_bits_ = 0;
-  std::size_t windows_ = 0;
-  // table_[3 * w + (v - 1)] = base^(v << (2w)) in Montgomery form, v in 1..3,
-  // stored as consecutive limb_count()-limb slices of one flat vector.
+  std::size_t columns_ = 0;  // d: the spacing of the teeth
+  // Entry v in Montgomery form, as consecutive limb_count()-limb slices of
+  // one flat vector; entry 2^j is row j's tooth base^(2^(j*d)).
   std::vector<std::uint64_t> table_;
 };
 

@@ -56,8 +56,8 @@ Dealing deal_threshold_key(ChaCha20Rng& rng, std::size_t k, std::size_t n,
 NoncePair make_nonce(const ThresholdParams& params, ChaCha20Rng& rng) {
   NoncePair pair;
   pair.k = bn::BigUInt::random_below(rng, params.q);
-  // g is fixed per key: the shared comb table turns every nonce commitment
-  // into multiplies only.
+  // g is fixed per key: the shared comb takes every nonce commitment in
+  // one pass over its columns.
   pair.r = FixedBaseEngine::shared(params.g, params.p)->pow(pair.k);
   return pair;
 }

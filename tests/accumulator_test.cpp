@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 namespace dla::crypto {
@@ -89,6 +90,44 @@ TEST(Accumulator, GeneratedParamsWork) {
   a.add("x").add("y");
   b.add("y").add("x");
   EXPECT_EQ(a.value(), b.value());
+}
+
+// A deposit is one fixed-base comb power of x0 by the product of the item
+// exponents; it must equal folding the items one by one. A handle sized
+// for four items (a four-node cluster) covers counts 0..4 in its comb and
+// takes 9 and 33 through the wide fallback; one sized per count covers
+// each in its comb.
+TEST(AccumulatorStepper, DepositMatchesSequentialFold) {
+  ChaCha20Rng rng(2);
+  for (const auto& params : {Accumulator::Params::fixed256(),
+                             Accumulator::Params::generate(rng, 128)}) {
+    const AccumulatorStepper four(params, 4);
+    for (std::size_t count : {0u, 1u, 2u, 4u, 9u, 33u}) {
+      std::vector<std::string> items;
+      Accumulator fold(params);
+      for (std::size_t i = 0; i < count; ++i) {
+        items.push_back("fragment-" + std::to_string(i));
+        fold.add(items.back());
+      }
+      EXPECT_EQ(four.deposit(items), fold.value()) << count << " items";
+      EXPECT_EQ(AccumulatorStepper(params, count).deposit(items),
+                fold.value())
+          << count << " items";
+    }
+  }
+}
+
+// The integrity circulation: a one-item deposit, then one step per node,
+// ends on the user's deposit.
+TEST(AccumulatorStepper, CirculationEndsOnTheDeposit) {
+  auto params = Accumulator::Params::fixed256();
+  const AccumulatorStepper stepper(params, 4);
+  const std::vector<std::string> items = {"P0", "P1", "P2", "P3"};
+  bn::BigUInt value = stepper.deposit({items[2]});
+  for (std::size_t hop = 1; hop < items.size(); ++hop) {
+    value = stepper.step(value, items[(2 + hop) % items.size()]);
+  }
+  EXPECT_EQ(value, stepper.deposit(items));
 }
 
 // Parameterised: order-independence holds for any item count.

@@ -3,6 +3,7 @@
 // the set ring-pass depends on batched and serial paths agreeing exactly.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <vector>
 
 #include "bignum/biguint.hpp"
@@ -223,6 +224,116 @@ TEST_F(ModExpEngineTest, FixedBaseSharedCacheEvictsLeastRecentlyUsed) {
   // alive by `cold`, so pointer inequality proves eviction).
   EXPECT_EQ(hot.get(), FixedBaseEngine::shared(hot_base, p).get());
   EXPECT_NE(cold.get(), FixedBaseEngine::shared(bn::BigUInt(100), p).get());
+}
+
+// Odd moduli of 1..8 limbs (the unrolled kernels) and of 10 limbs (the
+// run-time-width N = 0 kernel), each with its top bit set.
+std::vector<bn::BigUInt> comb_moduli(ChaCha20Rng& rng) {
+  std::vector<bn::BigUInt> moduli;
+  for (std::size_t limbs : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 10u}) {
+    bn::BigUInt m = bn::BigUInt::random_bits(rng, 64 * limbs);
+    if (m.is_even()) m += bn::BigUInt(1);
+    moduli.push_back(std::move(m));
+  }
+  return moduli;
+}
+
+// Exponents of exactly `width` bits: one random, all ones (every tooth set
+// in every column) and the lone top bit.
+std::vector<bn::BigUInt> exponents_of_width(ChaCha20Rng& rng,
+                                            std::size_t width) {
+  return {bn::BigUInt::random_bits(rng, width),
+          (bn::BigUInt(1) << width) - bn::BigUInt(1),
+          bn::BigUInt(1) << (width - 1)};
+}
+
+TEST_F(ModExpEngineTest, FixedBaseCombMatchesMontgomeryPowAtRowBoundaries) {
+  ChaCha20Rng rng(61);
+  for (const bn::BigUInt& m : comb_moduli(rng)) {
+    auto ctx = make_ctx(m);
+    const bn::BigUInt base = bn::BigUInt::random_below(rng, m);
+    // A width that is not a multiple of 8 rounds up to eight rows of d bits.
+    FixedBaseEngine comb(ctx, base, m.bit_length() - 3);
+    const std::size_t max = comb.max_exponent_bits();
+    ASSERT_EQ(max, m.bit_length());
+    const std::size_t d = max / 8;
+    // Each row ends at k * d: its last bit, the next row's first and the
+    // one after it; 8d + 1 is the first width past the comb (the fallback).
+    std::set<std::size_t> widths = {1, 2};
+    for (std::size_t k = 1; k <= 8; ++k) {
+      for (std::size_t w : {k * d - 1, k * d, k * d + 1}) widths.insert(w);
+    }
+    for (std::size_t w : widths) {
+      for (const bn::BigUInt& e : exponents_of_width(rng, w)) {
+        EXPECT_EQ(comb.pow(e), ctx->pow(base, e))
+            << m.bit_length() << "-bit modulus, width " << w << ", exponent "
+            << e.to_hex();
+      }
+    }
+  }
+}
+
+TEST_F(ModExpEngineTest, FixedBaseCombMatchesMontgomeryPowAtEveryWidth) {
+  ChaCha20Rng rng(62);
+  for (std::size_t bits : {64u, 130u}) {
+    bn::BigUInt m = bn::BigUInt::random_bits(rng, bits);
+    if (m.is_even()) m += bn::BigUInt(1);
+    auto ctx = make_ctx(m);
+    const bn::BigUInt base = bn::BigUInt::random_below(rng, m);
+    FixedBaseEngine comb(ctx, base, bits);
+    for (std::size_t w = 1; w <= comb.max_exponent_bits() + 1; ++w) {
+      for (const bn::BigUInt& e : exponents_of_width(rng, w)) {
+        EXPECT_EQ(comb.pow(e), ctx->pow(base, e))
+            << bits << "-bit modulus, width " << w << ", exponent "
+            << e.to_hex();
+      }
+    }
+  }
+}
+
+TEST_F(ModExpEngineTest, FixedBaseCombEdgeBasesAndExponents) {
+  ChaCha20Rng rng(63);
+  for (const bn::BigUInt& m : comb_moduli(rng)) {
+    auto ctx = make_ctx(m);
+    const std::size_t max = m.bit_length();
+    const std::vector<bn::BigUInt> exponents = {
+        bn::BigUInt(0), bn::BigUInt(1), bn::BigUInt(2),
+        bn::BigUInt::random_bits(rng, max),
+        bn::BigUInt::random_bits(rng, max + 1)};  // the fallback
+    for (const bn::BigUInt& base :
+         {bn::BigUInt(0), bn::BigUInt(1), m - bn::BigUInt(1), m,
+          m + bn::BigUInt(5), m * bn::BigUInt(3) + bn::BigUInt(2)}) {
+      FixedBaseEngine comb(ctx, base, max);
+      for (const bn::BigUInt& e : exponents) {
+        EXPECT_EQ(comb.pow(e), ctx->pow(base, e))
+            << max << "-bit modulus, base " << base.to_hex() << ", exponent "
+            << e.to_hex();
+      }
+    }
+  }
+}
+
+TEST_F(ModExpEngineTest, FixedBaseCombCountsOneModexpPerPow) {
+  const bn::BigUInt p = PhDomain::fixed256().p;
+  FixedBaseEngine comb(make_ctx(p), bn::BigUInt(4), 64);
+  reset_modexp_stats();
+  comb.pow(bn::BigUInt(12345));                      // in the comb
+  comb.pow((bn::BigUInt(1) << 64) + bn::BigUInt(1));  // the fallback
+  EXPECT_EQ(modexp_stats().modexp_count, 2u);
+  EXPECT_EQ(modexp_stats().modexp_batch_count, 0u);
+}
+
+TEST_F(ModExpEngineTest, FixedBaseSharedCacheKeysOnWidth) {
+  const bn::BigUInt p = PhDomain::fixed256().p;
+  auto modulus_wide = FixedBaseEngine::shared(bn::BigUInt(4), p);
+  auto deposit_wide = FixedBaseEngine::shared(bn::BigUInt(4), p, 1024);
+  EXPECT_EQ(modulus_wide->max_exponent_bits(), p.bit_length());
+  EXPECT_EQ(deposit_wide->max_exponent_bits(), 1024u);
+  EXPECT_NE(modulus_wide.get(), deposit_wide.get());
+  EXPECT_EQ(deposit_wide.get(),
+            FixedBaseEngine::shared(bn::BigUInt(4), p, 1024).get());
+  EXPECT_EQ(modulus_wide.get(),
+            FixedBaseEngine::shared(bn::BigUInt(4), p, p.bit_length()).get());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -154,6 +155,70 @@ TEST_F(E2eFixture, ParseErrorSurfacesToUser) {
   auto outcome = run_query("id = ");
   EXPECT_FALSE(outcome.ok);
   EXPECT_NE(outcome.error.find("parse error"), std::string::npos);
+}
+
+// A numeric literal beyond int64 or double is a parse error at the
+// gateway, whichever node that is, and the cluster keeps answering.
+TEST_F(E2eFixture, OutOfRangeLiteralIsAParseErrorThroughEveryGateway) {
+  const std::string huge_real = "C2 > 1" + std::string(400, '0') + ".5";
+  for (std::size_t gateway = 0; gateway < 4; ++gateway) {
+    cluster.user(0).set_gateway(gateway);
+    for (const std::string& criterion :
+         {std::string("C1 > 99999999999999999999"), huge_real}) {
+      auto outcome = run_query(criterion);
+      EXPECT_FALSE(outcome.ok) << "P" << gateway << ": " << criterion;
+      EXPECT_NE(outcome.error.find("parse error"), std::string::npos)
+          << "P" << gateway << ": " << outcome.error;
+    }
+    auto next = run_query("protocl = 'UDP'");
+    ASSERT_TRUE(next.ok) << "P" << gateway << ": " << next.error;
+    EXPECT_EQ(next.glsns.size(), 3u) << "P" << gateway;
+  }
+}
+
+// A gateway that does not own C2 ships the subquery to P1 as text; the
+// real constant must reach P1 as the same double, so every gateway gives
+// the answer P1 gives locally (Table 1's C2 > 345.1099: 345.11 and 678.75).
+TEST_F(E2eFixture, RealConstantsReachRemoteOwnersExactly) {
+  for (std::size_t gateway = 0; gateway < 4; ++gateway) {
+    cluster.user(0).set_gateway(gateway);
+    auto close = run_query("C2 > 345.1099");
+    ASSERT_TRUE(close.ok) << "P" << gateway << ": " << close.error;
+    EXPECT_EQ(close.glsns, (std::vector<logm::Glsn>{row(1), row(4)}))
+        << "P" << gateway;
+    auto large = run_query("C2 > 1234567.5");
+    ASSERT_TRUE(large.ok) << "P" << gateway << ": " << large.error;
+    EXPECT_TRUE(large.glsns.empty()) << "P" << gateway;
+  }
+}
+
+// A truncated copy of a join frame that reaches its node ahead of the
+// genuine one is a codec reject and nothing more: the handler marks its
+// replay guard only once the frame decoded, so the genuine frame still
+// runs. Covers the gateway's kJoinExec to both attribute owners and the
+// TTP's kCmpBatchResult to the result owner.
+TEST_F(E2eFixture, TruncatedCopyAheadOfAJoinFrameDoesNotSpendItsId) {
+  std::map<net::NodeId, DlaNode*> dla_by_id;
+  for (std::size_t i = 0; i < 4; ++i) {
+    dla_by_id[cluster.dla(i).id()] = &cluster.dla(i);
+  }
+  for (std::uint32_t type : {kJoinExec, kCmpBatchResult}) {
+    std::set<net::NodeId> truncated;
+    cluster.sim().set_deliver_hook([&](const net::Message& msg) {
+      if (msg.type != type || !truncated.insert(msg.dst).second) return;
+      net::Message copy = msg;
+      copy.payload.pop_back();
+      dla_by_id.at(msg.dst)->on_message(cluster.sim(), copy);
+    });
+    reset_wire_reject_counters();
+    auto outcome = run_query("C1 < C2");
+    cluster.sim().set_deliver_hook(nullptr);
+    EXPECT_EQ(truncated.size(), type == kJoinExec ? 2u : 1u);
+    EXPECT_EQ(wire_reject_counters().codec_rejects, truncated.size());
+    ASSERT_TRUE(outcome.ok) << std::hex << type << ": " << outcome.error;
+    EXPECT_EQ(outcome.glsns.size(), 5u);
+  }
+  reset_wire_reject_counters();
 }
 
 TEST_F(E2eFixture, UnknownAttributeSurfacesToUser) {

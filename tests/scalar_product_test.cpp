@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "audit/cluster.hpp"
+#include "audit/metrics.hpp"
 #include "logm/workload.hpp"
 
 namespace dla::audit {
@@ -44,6 +45,28 @@ struct ScalarFixture : ::testing::Test {
 
 TEST_F(ScalarFixture, KnownDotProduct) {
   auto result = run_product(1, vec({1, 2, 3}), vec({4, 5, 6}));
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(*result, bn::BigUInt(1 * 4 + 2 * 5 + 3 * 6));
+}
+
+// A truncated copy of kScalarInit that reaches the TTP ahead of the genuine
+// frame is a codec reject and nothing more: the TTP marks the session only
+// once the frame decoded, so the genuine init still deals the randomness.
+TEST_F(ScalarFixture, TruncatedInitCopyDoesNotSpendTheSession) {
+  bool truncated = false;
+  cluster.sim().set_deliver_hook([&](const net::Message& msg) {
+    if (msg.type != kScalarInit || truncated) return;
+    truncated = true;
+    net::Message copy = msg;
+    copy.payload.pop_back();
+    cluster.ttp().on_message(cluster.sim(), copy);
+  });
+  reset_wire_reject_counters();
+  auto result = run_product(9, vec({1, 2, 3}), vec({4, 5, 6}));
+  cluster.sim().set_deliver_hook(nullptr);
+  EXPECT_TRUE(truncated);
+  EXPECT_EQ(wire_reject_counters().codec_rejects, 1u);
+  reset_wire_reject_counters();
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(*result, bn::BigUInt(1 * 4 + 2 * 5 + 3 * 6));
 }
