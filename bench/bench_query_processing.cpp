@@ -159,14 +159,15 @@ int run_backend_tier(std::size_t records, std::ostringstream& json_out) {
   const logm::Schema schema = logm::paper_schema();
   const std::size_t chunk = std::min<std::size_t>(records, 65536);
   // Fixed-bound criteria (no workload quantiles needed): equality, range,
-  // conjunction, IN-fan, and the non-indexable fallback that decodes every
-  // row.
+  // conjunction, IN-fan, disjunction, and the non-indexable fallback that
+  // decodes every row.
   const std::vector<std::string> suite = {
       "id = 'U3'",
       "protocl = 'TCP'",
       "C2 > 900.0",
       "id = 'U3' AND C2 > 500.0",
       "id IN ('U1', 'U3', 'U5')",
+      "id = 'U3' OR C2 > 990.0",
       "C1 < C2",
   };
 

@@ -1681,11 +1681,9 @@ void DlaNode::handle_aggregate_exec(net::Transport& sim,
   bool first = true;
   const logm::StorageEngine& source = engine_for({attr});
   for (logm::Glsn g : glsns) {
-    const std::optional<logm::Fragment> frag = source.fetch(g);
-    if (!frag) continue;
-    auto it = frag->attrs.find(attr);
-    if (it == frag->attrs.end()) continue;
-    double v = it->second.as_real();
+    const std::optional<logm::Value> value = source.fetch_value(g, attr);
+    if (!value) continue;
+    double v = value->as_real();
     ++present;
     switch (op) {
       case AggOp::Sum:

@@ -308,22 +308,17 @@ class Program {
 
 // ---- index access paths ----------------------------------------------------
 
-struct Probe {
-  CmpOp op = CmpOp::Eq;
-  const logm::Value* value = nullptr;  // points into the source Expr
-};
-
 // The values one probe selects: equality is the closed [v, v], an ordered
 // probe is one-sided. (Ne is never a probe.)
-Bounds bounds_of(const Probe& probe) {
-  switch (probe.op) {
+Bounds bounds_of(CmpOp op, const logm::Value& value) {
+  switch (op) {
     case CmpOp::Eq:
-      return {probe.value, true, probe.value, true};
+      return {&value, true, &value, true};
     case CmpOp::Gt:
     case CmpOp::Ge:
-      return {probe.value, probe.op == CmpOp::Ge, nullptr, false};
+      return {&value, op == CmpOp::Ge, nullptr, false};
     default:
-      return {nullptr, false, probe.value, probe.op == CmpOp::Le};
+      return {nullptr, false, &value, op == CmpOp::Le};
   }
 }
 
@@ -360,18 +355,95 @@ bool overlaps(const ColumnStats& st, const Bounds& b) {
          !(b.hi_incl ? less(*b.hi, *st.min) : !less(*st.min, *b.hi));
 }
 
-// One index access path over one attribute: a disjunction of probes (an
-// equality or an OR-fan), or — when `probes` is empty — a bounded range
-// that same-attribute range conjuncts (`Time >= a AND Time <= b`, the
-// BETWEEN shape) fuse into.
+template <class Src>
+struct Plan;
+
+// One index access path: an equality probe or a bounded range over one
+// attribute — same-attribute range conjuncts (`Time >= a AND Time <= b`,
+// the BETWEEN shape) fuse into one range — or, with no index, the union of
+// an OR conjunct's children, each planned as its own conjunction on the
+// same source.
 template <class Src>
 struct AccessPath {
-  const typename Src::Index* index = nullptr;
-  std::vector<Probe> probes;
-  Bounds range;
+  const typename Src::Index* index = nullptr;  // null for a union
+  const logm::Value* equal = nullptr;          // the equality probe's value
+  Bounds range;                                // the range, when !equal
+  std::vector<Plan<Src>> arms;                 // a union's children
   double estimate = 0.0;
-  std::vector<const Expr*> sources;  // conjuncts folded into this path
+  // Conjuncts the path answers exactly, which leave the residual. An
+  // inexact union answers none: its OR stays residual and rechecks the
+  // union's rows.
+  std::vector<const Expr*> sources;
 };
+
+// A conjunction planned on one source: access paths to intersect and the
+// residual conjuncts to evaluate on the rows that survive. `pruned` plans
+// match no row (an absent column or a zone map ended them).
+template <class Src>
+struct Plan {
+  std::vector<AccessPath<Src>> paths;
+  std::vector<const Expr*> residual;
+  std::size_t conjuncts = 0;
+  bool pruned = false;
+};
+
+// Appends the conjuncts of `expr`, its nested And children flattened.
+void flatten_and(const Expr& expr, std::vector<const Expr*>& out) {
+  if (expr.kind != Expr::Kind::And) {
+    out.push_back(&expr);
+    return;
+  }
+  for (const Expr& child : expr.children) flatten_and(child, out);
+}
+
+// True when `fn` holds for every attribute `expr` reads.
+template <class Fn>
+bool all_attributes(const Expr& expr, const Fn& fn) {
+  if (expr.kind != Expr::Kind::Pred) {
+    return std::all_of(
+        expr.children.begin(), expr.children.end(),
+        [&](const Expr& child) { return all_attributes(child, fn); });
+  }
+  return fn(expr.pred.lhs) &&
+         (!expr.pred.rhs_is_attr || fn(expr.pred.rhs_attr));
+}
+
+// True when every row on which `expr` is True carries `attr`: one of its
+// top-level predicates — the expression itself, or a child reached through
+// Ands only — reads it.
+bool requires_attribute(const Expr& expr, const std::string& attr) {
+  if (expr.kind == Expr::Kind::Pred) {
+    return expr.pred.lhs == attr ||
+           (expr.pred.rhs_is_attr && expr.pred.rhs_attr == attr);
+  }
+  return expr.kind == Expr::Kind::And &&
+         std::any_of(expr.children.begin(), expr.children.end(),
+                     [&](const Expr& child) {
+                       return requires_attribute(child, attr);
+                     });
+}
+
+// The union of an OR's children equals the OR when no child can be Missing
+// on a row a later child matches (the Or stops at its first Missing
+// child): every attribute an earlier child reads is present on every row
+// of the source, or every later child requires it. IN-lists qualify by the
+// second clause, whatever the source.
+template <class Src>
+bool union_is_exact(const Src& src, const Expr& disjunction) {
+  const std::vector<Expr>& kids = disjunction.children;
+  for (std::size_t j = 0; j + 1 < kids.size(); ++j) {
+    const bool safe = all_attributes(kids[j], [&](const std::string& attr) {
+      const bool later_require = std::all_of(
+          kids.begin() + static_cast<std::ptrdiff_t>(j) + 1, kids.end(),
+          [&](const Expr& later) { return requires_attribute(later, attr); });
+      if (later_require) return true;
+      const typename Src::Index* idx = src.index(attr);
+      return idx != nullptr && src.stats(*idx).present == src.rows();
+    });
+    if (!safe) return false;
+  }
+  return true;
+}
 
 // A probe may use the index only when the index answer provably matches
 // the naive evaluator: constant Eq always; ordered ops only on all-numeric
@@ -389,50 +461,58 @@ bool indexable(const Src& src, const typename Src::Index& idx,
   return pred.rhs_const.is_numeric() && src.stats(idx).max->is_numeric();
 }
 
-// An indexable conjunct is a constant predicate on one indexed attribute,
-// or an OR-fan of such predicates over the *same* attribute (the shape
-// IN-lists desugar to). Same-attribute matters for equivalence: the naive
-// OR aborts the whole row when an earlier child hits a missing attribute,
-// so a union across different attributes could admit rows the scan rejects.
 template <class Src>
-std::optional<AccessPath<Src>> make_access_path(const Src& src,
-                                                const Expr& conjunct) {
-  const bool fan = conjunct.kind == Expr::Kind::Or;
-  if (!fan && conjunct.kind != Expr::Kind::Pred) return std::nullopt;
-  const std::span<const Expr> preds =
-      fan ? std::span<const Expr>(conjunct.children)
-          : std::span<const Expr>(&conjunct, 1);
-  if (preds.empty() || preds.front().kind != Expr::Kind::Pred) {
-    return std::nullopt;
-  }
-  const std::string& attr = preds.front().pred.lhs;
+Plan<Src> make_plan(const Src& src, std::span<const Expr* const> conjuncts);
+
+// An OR conjunct becomes a union path when each child, planned as its own
+// conjunction, has an access path or matches no row; one path-less child
+// (`C1 < C2`) leaves the OR residual.
+template <class Src>
+std::optional<AccessPath<Src>> make_union_path(const Src& src,
+                                               const Expr& disjunction) {
   AccessPath<Src> path;
-  path.index = src.index(attr);
-  if (path.index == nullptr) return std::nullopt;
-  path.sources.push_back(&conjunct);
-  for (const Expr& child : preds) {
-    if (child.kind != Expr::Kind::Pred || child.pred.lhs != attr ||
-        !indexable(src, *path.index, child.pred)) {
-      return std::nullopt;
-    }
-    path.probes.push_back(Probe{child.pred.op, &child.pred.rhs_const});
+  path.arms.reserve(disjunction.children.size());
+  std::vector<const Expr*> conjuncts;
+  for (const Expr& child : disjunction.children) {
+    conjuncts.clear();
+    flatten_and(child, conjuncts);
+    Plan<Src> arm = make_plan(src, conjuncts);
+    if (!arm.pruned && arm.paths.empty()) return std::nullopt;
+    path.arms.push_back(std::move(arm));
   }
-  // A lone ordered predicate becomes a range path so same-attribute
-  // conjuncts can fuse into one bounded slice before execution.
-  if (!fan && path.probes.front().op != CmpOp::Eq) {
-    path.range = bounds_of(path.probes.front());
-    path.probes.clear();
+  if (union_is_exact(src, disjunction)) path.sources.push_back(&disjunction);
+  return path;
+}
+
+// A constant predicate on an indexed attribute: an equality probe, or a
+// range, so same-attribute conjuncts can fuse into one bounded slice.
+template <class Src>
+AccessPath<Src> probe_path(const typename Src::Index& index,
+                           const Expr& conjunct) {
+  AccessPath<Src> path;
+  path.index = &index;
+  path.sources.push_back(&conjunct);
+  const Predicate& pred = conjunct.pred;
+  if (pred.op == CmpOp::Eq) {
+    path.equal = &pred.rhs_const;
+  } else {
+    path.range = bounds_of(pred.op, pred.rhs_const);
   }
   return path;
 }
 
-// Zone-map test: can any row of the source satisfy the path?
+// Zone-map test: can any row of the source satisfy the path? A union's
+// children ran their own.
 template <class Src>
 bool zone_may_match(const Src& src, const AccessPath<Src>& path) {
-  const ColumnStats st = src.stats(*path.index);
-  if (path.probes.empty()) return overlaps(st, path.range);
-  return std::any_of(path.probes.begin(), path.probes.end(),
-                     [&](const Probe& p) { return overlaps(st, bounds_of(p)); });
+  if (path.index == nullptr) {
+    return std::any_of(path.arms.begin(), path.arms.end(),
+                       [](const Plan<Src>& arm) { return !arm.pruned; });
+  }
+  return overlaps(src.stats(*path.index),
+                  path.equal != nullptr
+                      ? bounds_of(CmpOp::Eq, *path.equal)
+                      : path.range);
 }
 
 // Merges range paths over the same attribute into one bounded [lo, hi]
@@ -440,13 +520,16 @@ bool zone_may_match(const Src& src, const AccessPath<Src>& path) {
 // broad half-open runs intersected afterwards.
 template <class Src>
 void fuse_range_paths(std::vector<AccessPath<Src>>& paths) {
+  auto is_range = [](const AccessPath<Src>& p) {
+    return p.index != nullptr && p.equal == nullptr;
+  };
   std::vector<AccessPath<Src>> fused;
   fused.reserve(paths.size());
   for (AccessPath<Src>& path : paths) {
     auto host = fused.end();
-    if (path.probes.empty()) {
+    if (is_range(path)) {
       host = std::find_if(fused.begin(), fused.end(), [&](const auto& f) {
-        return f.probes.empty() && f.index == path.index;
+        return is_range(f) && f.index == path.index;
       });
     }
     if (host == fused.end()) {
@@ -460,22 +543,75 @@ void fuse_range_paths(std::vector<AccessPath<Src>>& paths) {
   paths = std::move(fused);
 }
 
-// Estimated matching rows: exact run sizes for equality probes; for a
-// range, both bounds interpolated between the column's min and max
-// (equi-width assumption).
+// Plans the conjunction of `conjuncts` (pointers into a normalized
+// subquery) on one source. A constant predicate on an indexed attribute
+// becomes a probe and an OR a union where it can; the rest stays residual.
+// A conjunct over an attribute no row of the source carries is Missing on
+// every row — an And-level predicate, or an OR whose first child is one
+// (the Or stops at its first Missing child) — and prunes the plan, as does
+// a path the zone maps rule out. Same-attribute ranges fuse last.
+template <class Src>
+Plan<Src> make_plan(const Src& src, std::span<const Expr* const> conjuncts) {
+  Plan<Src> plan;
+  plan.conjuncts = conjuncts.size();
+  for (const Expr* conjunct : conjuncts) {
+    const bool is_or = conjunct->kind == Expr::Kind::Or;
+    const Expr* lead =
+        is_or && !conjunct->children.empty() ? &conjunct->children.front()
+                                             : conjunct;
+    const typename Src::Index* index = nullptr;
+    if (lead->kind == Expr::Kind::Pred) {
+      index = src.index(lead->pred.lhs);
+      if (index == nullptr || (lead->pred.rhs_is_attr &&
+                               src.index(lead->pred.rhs_attr) == nullptr)) {
+        plan.pruned = true;
+        return plan;
+      }
+    }
+    std::optional<AccessPath<Src>> path;
+    if (is_or) {
+      path = make_union_path(src, *conjunct);
+    } else if (index != nullptr && indexable(src, *index, conjunct->pred)) {
+      path = probe_path<Src>(*index, *conjunct);
+    }
+    if (!path) {
+      plan.residual.push_back(conjunct);
+      continue;
+    }
+    if (Src::kZoneMaps && !zone_may_match(src, *path)) {
+      plan.pruned = true;
+      return plan;
+    }
+    if (path->sources.empty()) plan.residual.push_back(conjunct);
+    plan.paths.push_back(std::move(*path));
+  }
+  if (plan.paths.size() > 1) fuse_range_paths(plan.paths);
+  return plan;
+}
+
+// Estimated matching rows: the exact run size for equality; for a range,
+// both bounds interpolated between the column's min and max (equi-width
+// assumption); for a union, the sum over its children of each child's
+// smallest path estimate, which bounds the rows that child returns.
 template <class Src>
 double estimate_rows(const Src& src, const AccessPath<Src>& path) {
+  if (path.index == nullptr) {
+    double sum = 0.0;
+    for (const Plan<Src>& arm : path.arms) {
+      if (arm.pruned) continue;
+      double best = static_cast<double>(src.rows());
+      for (const AccessPath<Src>& p : arm.paths) {
+        best = std::min(best, estimate_rows(src, p));
+      }
+      sum += best;
+    }
+    return sum;
+  }
+  if (path.equal != nullptr) {
+    return static_cast<double>(src.count_equal(*path.index, *path.equal));
+  }
   const ColumnStats st = src.stats(*path.index);
   const double rows = static_cast<double>(st.present);
-  if (!path.probes.empty()) {
-    double sum = 0.0;
-    for (const Probe& probe : path.probes) {
-      sum += probe.op == CmpOp::Eq
-                 ? static_cast<double>(src.count_equal(*path.index, *probe.value))
-                 : rows;
-    }
-    return std::min(sum, rows);
-  }
   // Range paths only exist over all-numeric columns with numeric bounds
   // (see indexable), so every as_real() below is defined.
   const double col_lo = st.min->as_real();
@@ -492,69 +628,37 @@ double estimate_rows(const Src& src, const AccessPath<Src>& path) {
   return std::max(0.0, f_hi - f_lo) * rows;
 }
 
-// Sorted glsn run for a path: the range slice, or the union over probes.
 template <class Src>
-std::vector<logm::Glsn> execute_path(const Src& src,
-                                     const AccessPath<Src>& path) {
-  if (path.probes.empty()) return src.range(*path.index, path.range);
-  std::vector<logm::Glsn> out;
-  for (std::size_t i = 0; i < path.probes.size(); ++i) {
-    const Probe& probe = path.probes[i];
-    std::vector<logm::Glsn> run =
-        probe.op == CmpOp::Eq ? src.equal(*path.index, *probe.value)
-                              : src.range(*path.index, bounds_of(probe));
-    out = i == 0 ? std::move(run) : logm::union_sorted(out, run);
+std::vector<logm::Glsn> run_plan(const Src& src, Plan<Src>& plan);
+
+// Sorted glsn run for a path: the postings run, the range slice, or the
+// union of the children's runs.
+template <class Src>
+std::vector<logm::Glsn> execute_path(const Src& src, AccessPath<Src>& path) {
+  if (path.index == nullptr) {
+    std::vector<logm::Glsn> out;
+    for (std::size_t i = 0; i < path.arms.size(); ++i) {
+      std::vector<logm::Glsn> run = run_plan(src, path.arms[i]);
+      out = i == 0 ? std::move(run) : logm::union_sorted(out, run);
+    }
+    return out;
   }
-  return out;
+  src.count_probe();
+  return path.equal != nullptr ? src.equal(*path.index, *path.equal)
+                               : src.range(*path.index, path.range);
 }
 
-// An And-level predicate over an attribute no row of the source carries is
-// Missing on every row, so the source contributes nothing. Same for an
-// OR-fan whose *first* child references one (the Or stops at its first
-// Missing child).
+// Runs a plan and returns the matching glsns ascending: intersection in
+// order of estimated selectivity, then the residual program over the rows
+// that survive.
 template <class Src>
-bool references_absent_column(const Src& src,
-                              const std::vector<Expr>& conjuncts) {
-  for (const Expr& conjunct : conjuncts) {
-    const Expr* pred = &conjunct;
-    if (conjunct.kind == Expr::Kind::Or && !conjunct.children.empty()) {
-      pred = &conjunct.children.front();
-    }
-    if (pred->kind != Expr::Kind::Pred) continue;
-    if (src.index(pred->pred.lhs) == nullptr ||
-        (pred->pred.rhs_is_attr && src.index(pred->pred.rhs_attr) == nullptr)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-// Evaluates the conjunction of `conjuncts` (a normalized subquery) against
-// one source and returns the matching glsns ascending: absent-column
-// pruning, then access paths and their zone-map test, fusion, intersection
-// in order of estimated selectivity, and the residual program over the
-// rows that survive.
-template <class Src>
-std::vector<logm::Glsn> run_plan(const Src& src,
-                                 const std::vector<Expr>& conjuncts) {
-  if (references_absent_column(src, conjuncts)) {
-    src.count_pruned(conjuncts.size());
+std::vector<logm::Glsn> run_plan(const Src& src, Plan<Src>& plan) {
+  if (plan.pruned) {
+    src.count_pruned(plan.conjuncts);
     return {};
   }
-
-  std::vector<AccessPath<Src>> paths;
-  std::vector<const Expr*> residual;
-  for (const Expr& conjunct : conjuncts) {
-    std::optional<AccessPath<Src>> path = make_access_path(src, conjunct);
-    if (!path) {
-      residual.push_back(&conjunct);
-    } else if (Src::kZoneMaps && !zone_may_match(src, *path)) {
-      src.count_pruned(conjuncts.size());
-      return {};
-    } else {
-      paths.push_back(std::move(*path));
-    }
-  }
+  std::vector<AccessPath<Src>>& paths = plan.paths;
+  std::vector<const Expr*>& residual = plan.residual;
 
   if (paths.empty()) {
     // No index applies: tight full scan with the compiled program.
@@ -568,7 +672,6 @@ std::vector<logm::Glsn> run_plan(const Src& src,
     return out;
   }
 
-  fuse_range_paths(paths);
   if (paths.size() > 1) {
     // Most selective first; ties keep conjunct order.
     for (AccessPath<Src>& path : paths) path.estimate = estimate_rows(src, path);
@@ -590,7 +693,6 @@ std::vector<logm::Glsn> run_plan(const Src& src,
       continue;
     }
     std::vector<logm::Glsn> run = execute_path(src, paths[i]);
-    src.count_probe();
     current = i == 0 ? std::move(run) : logm::intersect_sorted(current, run);
     if (current.empty()) {
       std::size_t skipped = residual.size();
@@ -616,6 +718,17 @@ std::vector<logm::Glsn> run_plan(const Src& src,
   return out;
 }
 
+// Plans and runs the top-level conjunction of a normalized subquery on one
+// source.
+template <class Src>
+std::vector<logm::Glsn> eval_normalized(const Src& src,
+                                        const Expr& normalized) {
+  std::vector<const Expr*> conjuncts;
+  flatten_and(normalized, conjuncts);
+  Plan<Src> plan = make_plan(src, conjuncts);
+  return run_plan(src, plan);
+}
+
 }  // namespace
 
 std::vector<logm::Glsn> eval_local_scan(const Expr& expr,
@@ -638,7 +751,7 @@ std::vector<logm::Glsn> eval_local_indexed(const Expr& expr,
     ++detail::query_engine_counters_mut().planner_fallbacks;
     return eval_local_scan(expr, store);
   }
-  return run_plan(MemtableSource(store), to_conjunctive(push_negations(expr)));
+  return eval_normalized(MemtableSource(store), push_negations(expr));
 }
 
 std::vector<logm::Glsn> eval_engine_scan(const Expr& expr,
@@ -671,10 +784,10 @@ std::vector<logm::Glsn> eval_engine_indexed(const Expr& expr,
 
   // Sources newest first: the memtable, then the segments newest to oldest.
   std::vector<logm::Glsn> out = eval_local_indexed(expr, mem);
-  const std::vector<Expr> conjuncts = to_conjunctive(push_negations(expr));
+  const Expr normalized = push_negations(expr);
   const auto& segs = txn.segments();  // oldest -> newest
   for (std::size_t i = segs.size(); i-- > 0;) {
-    for (logm::Glsn g : run_plan(SegmentSource(*segs[i]), conjuncts)) {
+    for (logm::Glsn g : eval_normalized(SegmentSource(*segs[i]), normalized)) {
       // Shadow subtraction: a newer source owning this glsn — memtable row,
       // pending tombstone, or any newer segment's row/tombstone — makes the
       // older segment's version invisible.

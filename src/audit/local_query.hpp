@@ -11,11 +11,12 @@
 //   2. A conjunct over an attribute the source does not carry ends the plan
 //      empty before any probe.
 //   3. Conjuncts whose predicates are constant equality/range comparisons on
-//      an indexed attribute (including OR-fans over a single attribute, the
-//      shape IN-lists desugar to) become index access paths: sorted glsn
-//      runs from the value->postings index or the segment's value-order
-//      array. Segments test each path against their zone maps first, and
-//      same-attribute ranges fuse into one slice.
+//      an indexed attribute become index access paths: sorted glsn runs
+//      from the value->postings index or the segment's value-order array.
+//      An OR whose children each plan to an access path becomes a union of
+//      the children's runs (IN-lists are the one-attribute case). Segments
+//      test each path against their zone maps first, and same-attribute
+//      ranges fuse into one slice.
 //   4. The planner orders access paths by estimated selectivity (exact run
 //      sizes for equality, min/max interpolation over the column stats for
 //      ranges), intersects the runs with the shared sorted-set algebra, and
@@ -28,7 +29,7 @@
 // (`select` + `evaluate` with missing-attribute => non-match) on every
 // workload, including fragments that carry only a subset of the referenced
 // attributes. See docs/QUERY_ENGINE.md for the tri-state semantics that
-// makes OR-over-missing-attributes safe, and for which counters each source
+// decide when a union equals its OR, and for which counters each source
 // increments.
 #pragma once
 

@@ -564,7 +564,11 @@ std::string to_text(const Expr& expr) {
       if (p.rhs_is_attr) {
         os << p.rhs_attr;
       } else if (p.rhs_const.type() == logm::ValueType::Text) {
-        os << '\'' << p.rhs_const.as_text() << '\'';
+        // The lexer has no escapes, so a text holding ' is quoted with ";
+        // no parsed text holds both.
+        const std::string& text = p.rhs_const.as_text();
+        const char quote = text.find('\'') == std::string::npos ? '\'' : '"';
+        os << quote << text << quote;
       } else if (p.rhs_const.type() == logm::ValueType::Int) {
         os << p.rhs_const.as_int();
       } else {

@@ -120,13 +120,14 @@ CmpSpec CmpSpec::decode(net::Reader& r, bool include_transform) {
 
 std::string report_message(std::uint64_t user_reqid,
                            const std::vector<logm::Glsn>& glsns) {
+  // A domain tag, then the request id, the count and the glsns as
+  // fixed-width integers, hashed in one update.
+  net::Writer w;
+  w.str("audit-report");
+  w.u64(user_reqid);
+  w.vec(glsns, [](net::Writer& out, logm::Glsn g) { out.u64(g); });
   crypto::Sha256 ctx;
-  ctx.update("audit-report:");
-  ctx.update(std::to_string(user_reqid));
-  for (logm::Glsn g : glsns) {
-    ctx.update("|");
-    ctx.update(std::to_string(g));
-  }
+  ctx.update(w.bytes());
   return crypto::to_hex(ctx.finalize());
 }
 

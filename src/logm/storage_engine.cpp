@@ -24,6 +24,23 @@ StorageStats& storage_stats_mut() { return g_storage_stats; }
 const StorageStats& storage_stats() { return g_storage_stats; }
 void reset_storage_stats() { g_storage_stats = StorageStats{}; }
 
+// ---- MemoryEngine ----------------------------------------------------------
+
+namespace {
+std::optional<Value> value_of(const Fragment& frag, const std::string& attr) {
+  const auto it = frag.attrs.find(attr);
+  if (it == frag.attrs.end()) return std::nullopt;
+  return it->second;
+}
+}  // namespace
+
+std::optional<Value> MemoryEngine::fetch_value(Glsn glsn,
+                                               const std::string& attr) const {
+  const Fragment* frag = store_.get(glsn);
+  if (frag == nullptr) return std::nullopt;
+  return value_of(*frag, attr);
+}
+
 // ---- ReadTxnTracker --------------------------------------------------------
 
 std::uint64_t ReadTxnTracker::open_txn(std::uint64_t now_us) {
@@ -225,28 +242,42 @@ bool SegmentEngine::erase(Glsn glsn) {
 
 // ---- read path -------------------------------------------------------------
 
-bool SegmentEngine::contains(Glsn glsn) const {
-  if (memtable_.get(glsn) != nullptr) return true;
-  if (tombstone_pending(glsn)) return false;
-  const SegmentList& segs = *segments_;
-  for (std::size_t i = segs.size(); i-- > 0;) {
-    if (segs[i]->row_of(glsn)) return true;
-    if (segs[i]->has_tombstone(glsn)) return false;
-  }
-  return false;
-}
-
-std::optional<Fragment> SegmentEngine::fetch(Glsn glsn) const {
-  if (const Fragment* frag = memtable_.get(glsn)) return *frag;
-  if (tombstone_pending(glsn)) return std::nullopt;
+SegmentEngine::Located SegmentEngine::locate(Glsn glsn) const {
+  if (const Fragment* frag = memtable_.get(glsn)) return {frag};
+  if (tombstone_pending(glsn)) return {};
   const SegmentList& segs = *segments_;
   for (std::size_t i = segs.size(); i-- > 0;) {
     if (std::optional<std::size_t> row = segs[i]->row_of(glsn)) {
-      return segs[i]->fragment_at(*row);
+      return {nullptr, segs[i].get(), *row};
     }
-    if (segs[i]->has_tombstone(glsn)) return std::nullopt;
+    if (segs[i]->has_tombstone(glsn)) return {};
   }
+  return {};
+}
+
+bool SegmentEngine::contains(Glsn glsn) const {
+  const Located at = locate(glsn);
+  return at.fragment != nullptr || at.segment != nullptr;
+}
+
+std::optional<Fragment> SegmentEngine::fetch(Glsn glsn) const {
+  const Located at = locate(glsn);
+  if (at.fragment != nullptr) return *at.fragment;
+  if (at.segment != nullptr) return at.segment->fragment_at(at.row);
   return std::nullopt;
+}
+
+std::optional<Value> SegmentEngine::fetch_value(Glsn glsn,
+                                                const std::string& attr) const {
+  const Located at = locate(glsn);
+  if (at.fragment != nullptr) return value_of(*at.fragment, attr);
+  if (at.segment == nullptr) return std::nullopt;
+  const Segment::AttrView* col = at.segment->attr(attr);
+  if (col == nullptr) return std::nullopt;
+  const std::optional<std::uint32_t> j =
+      at.segment->present_pos(*col, static_cast<std::uint32_t>(at.row));
+  if (!j) return std::nullopt;
+  return at.segment->cell_value(*col, *j);
 }
 
 void SegmentEngine::scan_visible(

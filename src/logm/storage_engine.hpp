@@ -64,6 +64,10 @@ class StorageEngine {
   virtual bool contains(Glsn glsn) const = 0;
   // Point read; materializes the fragment (segments decode lazily).
   virtual std::optional<Fragment> fetch(Glsn glsn) const = 0;
+  // Point read of one attribute of the visible version: one cell, not the
+  // fragment. nullopt when the glsn is not visible or lacks the attribute.
+  virtual std::optional<Value> fetch_value(Glsn glsn,
+                                           const std::string& attr) const = 0;
 
   // Visible fragment count / glsns across memtable + segments.
   virtual std::size_t size() const = 0;
@@ -99,6 +103,8 @@ class MemoryEngine final : public StorageEngine {
     if (frag == nullptr) return std::nullopt;
     return *frag;
   }
+  std::optional<Value> fetch_value(Glsn glsn,
+                                   const std::string& attr) const override;
   std::size_t size() const override { return store_.size(); }
   std::vector<Glsn> glsns() const override { return store_.glsns(); }
   void for_each(
@@ -179,6 +185,8 @@ class SegmentEngine final : public StorageEngine {
   bool erase(Glsn glsn) override;
   bool contains(Glsn glsn) const override;
   std::optional<Fragment> fetch(Glsn glsn) const override;
+  std::optional<Value> fetch_value(Glsn glsn,
+                                   const std::string& attr) const override;
   std::size_t size() const override { return visible_count_; }
   std::vector<Glsn> glsns() const override;
   void for_each(
@@ -259,6 +267,14 @@ class SegmentEngine final : public StorageEngine {
   void sweep_orphans();
   void hit_crash_hook(CrashPoint point);
   void publish(std::shared_ptr<const SegmentList> next);
+  // Where the visible version of `glsn` lives: a memtable fragment or a
+  // segment row; neither when it is deleted or unknown.
+  struct Located {
+    const Fragment* fragment = nullptr;
+    const Segment* segment = nullptr;
+    std::size_t row = 0;
+  };
+  Located locate(Glsn glsn) const;
   // Merged visitation of visible glsns in ascending order, newest version
   // winning; segment == nullptr means the row lives in the memtable.
   void scan_visible(const std::function<void(Glsn, const Segment*,

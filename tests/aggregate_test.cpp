@@ -3,8 +3,13 @@
 // the full log data").
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <filesystem>
 #include <optional>
+#include <tuple>
+#include <vector>
 
 #include "audit/cluster.hpp"
 #include "logm/workload.hpp"
@@ -183,6 +188,62 @@ TEST_F(AggregateFixture, AggregateMatchesWorkloadGroundTruth) {
   ASSERT_TRUE(outcome.ok) << outcome.error;
   EXPECT_NEAR(outcome.value, expected_sum, 1e-6);
   EXPECT_EQ(outcome.count, expected_count);
+}
+
+// The owner reads one cell per glsn, from its memtable or a sealed
+// segment: a cluster on segment engines, with Table 1 sealed two rows to a
+// segment, answers every aggregate exactly as the in-memory cluster does.
+TEST(AggregateEngines, SegmentBackendMatchesMemory) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("dla_aggregate_test_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  auto options = [&](bool durable) {
+    Cluster::Options opts{logm::paper_schema(), 4, 1, logm::paper_partition(),
+                          /*seed=*/21, /*auditor_users=*/true};
+    if (durable) {
+      opts.storage_dir = dir.string();
+      opts.storage.memtable_max_records = 2;
+      opts.storage.sync_mode = logm::SegmentEngine::SyncMode::OnSeal;
+    }
+    return opts;
+  };
+  const std::vector<std::tuple<std::string, AggOp, std::string>> aggregates =
+      {{"protocl = 'UDP'", AggOp::Sum, "C2"},
+       {"Time > 0", AggOp::Max, "C2"},
+       {"Time > 0", AggOp::Min, "C1"},
+       {"Tid = 'T1100265'", AggOp::Avg, "C1"},
+       {"id = 'U1' OR C2 > 300.0", AggOp::Sum, "C2"},
+       {"id = 'U9'", AggOp::Max, "C2"}};
+  std::vector<AggregateOutcome> answers[2];
+  for (bool durable : {false, true}) {
+    Cluster cluster(options(durable));
+    for (const auto& rec : logm::paper_table1_records()) {
+      cluster.user(0).log_record(cluster.sim(), rec.attrs,
+                                 [](std::optional<logm::Glsn> g) {
+                                   ASSERT_TRUE(g.has_value());
+                                 });
+      cluster.run();
+    }
+    for (const auto& [criterion, op, attr] : aggregates) {
+      std::optional<AggregateOutcome> outcome;
+      cluster.user(0).aggregate_query(
+          cluster.sim(), criterion, op, attr,
+          [&](AggregateOutcome o) { outcome = std::move(o); });
+      cluster.run();
+      ASSERT_TRUE(outcome.has_value()) << criterion;
+      answers[durable].push_back(*outcome);
+    }
+  }
+  fs::remove_all(dir);
+  for (std::size_t i = 0; i < aggregates.size(); ++i) {
+    const std::string& criterion = std::get<0>(aggregates[i]);
+    EXPECT_EQ(answers[1][i].ok, answers[0][i].ok) << criterion;
+    EXPECT_EQ(answers[1][i].value, answers[0][i].value) << criterion;
+    EXPECT_EQ(answers[1][i].count, answers[0][i].count) << criterion;
+  }
+  EXPECT_NEAR(answers[0][0].value, 603.56, 1e-9);
+  EXPECT_EQ(answers[0][4].count, 4u);  // U1 twice, 345.11 and 678.75
 }
 
 }  // namespace

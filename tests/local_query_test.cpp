@@ -118,6 +118,69 @@ TEST(LocalQueryDifferential, SurvivesErasesAndOverwrites) {
   expect_equivalent(store, "mutated");
 }
 
+// A random type-sane predicate over the generated stream's value ranges,
+// now and then attribute-vs-attribute.
+Expr random_predicate(crypto::ChaCha20Rng& rng) {
+  static const CmpOp kOps[] = {CmpOp::Lt, CmpOp::Le, CmpOp::Gt,
+                               CmpOp::Ge, CmpOp::Eq, CmpOp::Ne};
+  const CmpOp op = kOps[rng.next_below(6)];
+  const bool text_op = op == CmpOp::Eq || op == CmpOp::Ne;
+  switch (rng.next_below(text_op ? 6 : 3)) {
+    case 0:
+      return Expr::make_pred({"C1", op, false, "",
+                              logm::Value(static_cast<std::int64_t>(
+                                  rng.next_below(110)))});
+    case 1:
+      return Expr::make_pred(
+          {"C2", op, false, "",
+           logm::Value(static_cast<double>(rng.next_below(1100)))});
+    case 2:
+      return Expr::make_pred({"C1", op, true, "C2", {}});
+    case 3:
+      return Expr::make_pred(
+          {"id", op, false, "",
+           logm::Value("U" + std::to_string(rng.next_below(12)))});
+    case 4:
+      return Expr::make_pred(
+          {"Tid", op, false, "",
+           logm::Value("T" + std::to_string(rng.next_below(120)))});
+    default:
+      return Expr::make_pred({"protocl", op, false, "",
+                              logm::Value(rng.next_below(2) ? "TCP" : "UDP")});
+  }
+}
+
+// A random criterion, Or-heavy so union paths meet Missing attributes in
+// every child position.
+Expr random_criterion(crypto::ChaCha20Rng& rng, int depth) {
+  if (depth == 0 || rng.next_below(4) == 0) return random_predicate(rng);
+  const std::uint64_t kind = rng.next_below(5);
+  if (kind == 0) return Expr::make_not(random_criterion(rng, depth - 1));
+  std::vector<Expr> children;
+  const std::uint64_t n = 2 + rng.next_below(2);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    children.push_back(random_criterion(rng, depth - 1));
+  }
+  return kind == 1 ? Expr::make_and(std::move(children))
+                   : Expr::make_or(std::move(children));
+}
+
+TEST(LocalQueryDifferential, RandomCriteriaOnSparseStores) {
+  for (std::uint64_t seed : {71u, 72u, 73u}) {
+    const std::vector<LogRecord> records = make_records(seed, 200);
+    const FragmentStore stores[] = {full_store(records),
+                                    sparse_store(records, seed * 5)};
+    crypto::ChaCha20Rng rng(seed * 11);
+    for (int i = 0; i < 300; ++i) {
+      const Expr expr = random_criterion(rng, 3);
+      for (const FragmentStore& store : stores) {
+        EXPECT_EQ(eval_local_indexed(expr, store), eval_local_scan(expr, store))
+            << "seed " << seed << " diverged on: " << to_text(expr);
+      }
+    }
+  }
+}
+
 TEST(LocalQueryDifferential, IndexingDisabledDelegatesToScan) {
   FragmentStore store = full_store(make_records(41, 100));
   store.set_indexing(false);

@@ -238,6 +238,56 @@ TEST(Metrics, QueryEngineCountersTrackFallbacks) {
   EXPECT_EQ(c.planner_fallbacks, 0u);
 }
 
+// A disjunction across attributes is a union of index runs: each child
+// counts its own probe, and no row is scanned.
+TEST(Metrics, QueryEngineCountersTrackUnionPaths) {
+  logm::FragmentStore store = paper_store();
+  const logm::Schema schema = logm::paper_schema();
+  reset_query_engine_counters();
+  const Expr expr = parse("id = 'U1' OR C2 > 900.0", schema);
+  const std::vector<logm::Glsn> hits = eval_local_indexed(expr, store);
+  const QueryEngineCounters c = query_engine_counters();
+  EXPECT_EQ(c.planner_fallbacks, 0u);
+  EXPECT_EQ(c.rows_scanned, 0u);
+  EXPECT_EQ(c.index_hits, 2u);
+  EXPECT_EQ(hits, eval_local_scan(expr, store));
+}
+
+// Where an earlier child's attribute is missing on some rows, the union
+// is a candidate set: the OR is rechecked on those rows only, and a row
+// whose first child is Missing drops out as it does in the scan.
+TEST(Metrics, QueryEngineCountersUnionRechecksOnlyCandidates) {
+  std::vector<logm::LogRecord> records = logm::paper_table1_records();
+  records[1].attrs["id"] = logm::Value("U1");
+  records[1].attrs.erase("C2");
+  records[3].attrs.erase("C2");
+  records[4].attrs["C2"] = logm::Value(950.0);
+  logm::FragmentStore store;
+  for (const logm::LogRecord& rec : records) {
+    store.put(logm::Fragment{rec.glsn, rec.attrs});
+  }
+  const logm::Schema schema = logm::paper_schema();
+
+  reset_query_engine_counters();
+  const Expr c2_first = parse("C2 > 900.0 OR id = 'U1'", schema);
+  const std::vector<logm::Glsn> hits = eval_local_indexed(c2_first, store);
+  QueryEngineCounters c = query_engine_counters();
+  EXPECT_EQ(c.planner_fallbacks, 0u);
+  EXPECT_EQ(c.rows_scanned, 4u);  // U1 rows 0, 1, 2 and C2 950 at row 4
+  EXPECT_EQ(hits, (std::vector<logm::Glsn>{records[0].glsn, records[2].glsn,
+                                           records[4].glsn}));
+  EXPECT_EQ(hits, eval_local_scan(c2_first, store));
+
+  // Every row carries id, so with id first the union is the answer.
+  reset_query_engine_counters();
+  const Expr id_first = parse("id = 'U1' OR C2 > 900.0", schema);
+  const std::vector<logm::Glsn> id_hits = eval_local_indexed(id_first, store);
+  c = query_engine_counters();
+  EXPECT_EQ(c.planner_fallbacks, 0u);
+  EXPECT_EQ(c.rows_scanned, 0u);
+  EXPECT_EQ(id_hits, eval_local_scan(id_first, store));
+}
+
 // Residual probing only touches rows surviving the index intersection.
 TEST(Metrics, QueryEngineCountersResidualRowsBounded) {
   logm::FragmentStore store = paper_store();

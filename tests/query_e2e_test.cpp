@@ -192,6 +192,25 @@ TEST_F(E2eFixture, RealConstantsReachRemoteOwnersExactly) {
   }
 }
 
+// A text constant holding a ' must reach the owner of its attribute as the
+// same text, so every gateway finds the one row logged with it.
+TEST_F(E2eFixture, QuotedTextConstantsReachRemoteOwners) {
+  auto attrs = logm::paper_table1_records()[0].attrs;
+  attrs["id"] = logm::Value("U'1");
+  std::optional<logm::Glsn> quoted;
+  cluster.user(0).log_record(cluster.sim(), attrs,
+                             [&](std::optional<logm::Glsn> g) { quoted = g; });
+  cluster.run();
+  ASSERT_TRUE(quoted.has_value());
+  for (std::size_t gateway = 0; gateway < 4; ++gateway) {
+    cluster.user(0).set_gateway(gateway);
+    auto outcome = run_query("id = \"U'1\"");
+    ASSERT_TRUE(outcome.ok) << "P" << gateway << ": " << outcome.error;
+    EXPECT_EQ(outcome.glsns, (std::vector<logm::Glsn>{*quoted}))
+        << "P" << gateway;
+  }
+}
+
 // A truncated copy of a join frame that reaches its node ahead of the
 // genuine one is a codec reject and nothing more: the handler marks its
 // replay guard only once the frame decoded, so the genuine frame still

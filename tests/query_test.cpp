@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "logm/workload.hpp"
+#include "workload_gen.hpp"
 
 namespace dla::audit {
 namespace {
@@ -244,6 +248,22 @@ TEST(QueryText, RoundTripThroughToText) {
     Expr original = parse(q, schema());
     Expr reparsed = parse(to_text(original), schema());
     EXPECT_EQ(reparsed, original) << q;
+  }
+}
+
+// A gateway ships local subqueries to their owners as to_text output, so
+// every criterion the planner suites use, and text constants in either
+// quote character, must read back as the same tree.
+TEST(QueryText, PlannerCriteriaAndQuotesRoundTrip) {
+  std::vector<std::string> criteria = testkit::planner_criteria();
+  criteria.insert(criteria.end(),
+                  {"id = \"U'1\"", "id = 'U\"1'",
+                   "id IN (\"it's\", 'say \"hi\"')",
+                   "NOT (Tid != \"'\" OR protocl = '\"')"});
+  for (const std::string& q : criteria) {
+    const Expr original = parse(q, schema());
+    EXPECT_EQ(parse(to_text(original), schema()), original)
+        << q << " -> " << to_text(original);
   }
 }
 

@@ -81,9 +81,10 @@ inline const std::vector<std::string>& cluster_criteria() {
 // Local-planner differential suite (test_local_query, test_storage_engine):
 // every plan shape over the generated stream, answered by the memtable and
 // the segment column sources alike — indexable equality/range conjunctions,
-// fused and crossed ranges, IN-fans and ordered OR-fans, non-indexable
-// residuals (!=, attr-vs-attr, NOT, mixed-attribute OR), equalities at the
-// edge of or outside the zone maps, and empty-result short circuits.
+// fused and crossed ranges, unions (IN-lists, same- and cross-attribute
+// ORs), non-indexable residuals (!=, attr-vs-attr, an OR with a path-less
+// child), equalities at the edge of or outside the zone maps, and
+// empty-result short circuits.
 inline const std::vector<std::string>& planner_criteria() {
   static const std::vector<std::string> kCriteria{
       "id = 'U3'",
@@ -108,6 +109,17 @@ inline const std::vector<std::string>& planner_criteria() {
       // that hold it, 100 outside every one.
       "C1 = 99",
       "C1 = 100",
+      // Disjunctions across attributes become union paths. Child order
+      // decides which child's Missing attribute hides a row on sparse
+      // stores; a path-less child keeps the scan; a union the planner
+      // demotes must hand its OR back to the residual.
+      "id = 'U1' OR C2 > 900.0",
+      "C2 > 900.0 OR id = 'U1'",
+      "(id = 'U1' AND C2 > 200.0) OR (Tid = 'T5' AND C1 < 3)",
+      "id IN ('U1', 'U3') OR C2 > 990.0",
+      "id = 'U1' OR C1 < C2",
+      "id = 'U1' AND (C2 > 100.0 OR protocl = 'TCP')",
+      "NOT (id != 'U1' AND C2 <= 900.0)",
   };
   return kCriteria;
 }
@@ -131,6 +143,7 @@ inline std::vector<ScalingCriterion> scaling_suite(std::int64_t t_lo,
        "range"},
       {"id = 'U3' AND C2 > 500.0", "conjunction"},
       {"id IN ('U1', 'U3', 'U5')", "in-fan"},
+      {"id = 'U3' OR C2 > 990.0", "disjunction"},
       {"C1 < C2", "fallback"},
   };
 }

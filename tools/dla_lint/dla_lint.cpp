@@ -76,7 +76,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <string_view>
 #include <thread>
+#include <unordered_map>
 
 #if defined(_WIN32)
 #error "dla_lint supports POSIX hosts only"
@@ -222,6 +224,13 @@ void rule_banned_tokens(const SourceFile& f, Report* out) {
        "raw segment mappings are confined to src/logm"},
   };
 
+  // Each banned token appears once in the table: one lookup per identifier.
+  static const std::unordered_map<std::string_view, const Ban*> by_token = [] {
+    std::unordered_map<std::string_view, const Ban*> m;
+    for (const Ban& ban : bans) m.emplace(ban.token, &ban);
+    return m;
+  }();
+
   const bool crypto_ok = in_crypto_layer(f.rel_path);
   const bool protocol = in_protocol_layer(f.rel_path);
   for (std::size_t t = 0; t < f.tokens.size(); ++t) {
@@ -240,27 +249,26 @@ void rule_banned_tokens(const SourceFile& f, Report* out) {
       continue;
     }
     if (tok.kind != TokKind::Identifier) continue;
-    for (const Ban& ban : bans) {
-      if (tok.text != ban.token) continue;
-      if (ban.applies != nullptr) {
-        // Rule carries its own layer predicate (mmap-egress).
-        if (!ban.applies(f.rel_path)) continue;
-      } else {
-        const bool is_crypto_rule =
-            std::strcmp(ban.rule, "crypto-boundary") == 0;
-        if (is_crypto_rule && crypto_ok) continue;
-        if (!is_crypto_rule && !protocol) continue;
-      }
-      // `rand` only as a call: require '(' next so e.g. member fields named
-      // rand_… (none today) or comments don't trip; all other tokens are
-      // specific enough to flag on sight.
-      if (std::strcmp(ban.token, "rand") == 0 &&
-          (t + 1 >= f.tokens.size() || f.tokens[t + 1].text != "(")) {
-        continue;
-      }
-      out->push_back({f.rel_path, tok.line, ban.rule,
-                      std::string(ban.token) + ": " + ban.why});
+    const auto hit = by_token.find(tok.text);
+    if (hit == by_token.end()) continue;
+    const Ban& ban = *hit->second;
+    if (ban.applies != nullptr) {
+      // Rule carries its own layer predicate (mmap-egress).
+      if (!ban.applies(f.rel_path)) continue;
+    } else {
+      const bool is_crypto_rule = std::strcmp(ban.rule, "crypto-boundary") == 0;
+      if (is_crypto_rule && crypto_ok) continue;
+      if (!is_crypto_rule && !protocol) continue;
     }
+    // `rand` only as a call: require '(' next so e.g. member fields named
+    // rand_… (none today) or comments don't trip; all other tokens are
+    // specific enough to flag on sight.
+    if (std::strcmp(ban.token, "rand") == 0 &&
+        (t + 1 >= f.tokens.size() || f.tokens[t + 1].text != "(")) {
+      continue;
+    }
+    out->push_back({f.rel_path, tok.line, ban.rule,
+                    std::string(ban.token) + ": " + ban.why});
   }
 }
 
@@ -549,38 +557,43 @@ void Linter::rule_metrics_registry() {
     }
   }
 
-  for (const Field& field : fields) {
-    bool written = false;
-    for (const SourceFile& f : files_) {
-      if (&f == metrics) continue;
-      const std::vector<Token>& ft = f.tokens;
-      for (std::size_t t = 0; t < ft.size() && !written; ++t) {
-        if (ft[t].kind != TokKind::Identifier || ft[t].text != field.name)
-          continue;
-        if (t + 1 < ft.size()) {
-          const std::string& nx = ft[t + 1].text;
-          if (nx == "=" || nx == "+=" || nx == "-=" || nx == "++" ||
-              nx == "--")
-            written = true;
-        }
-        if (t > 0 && (ft[t - 1].text == "++" || ft[t - 1].text == "--"))
-          written = true;
-        // Pre-increment through a member access: `++ctr.field`.
-        if (t >= 3 && (ft[t - 1].text == "." || ft[t - 1].text == "->") &&
-            (ft[t - 3].text == "++" || ft[t - 3].text == "--"))
-          written = true;
+  // One pass over every token of the tree marks the fields written.
+  std::unordered_map<std::string_view, bool> written;
+  for (const Field& field : fields) written.emplace(field.name, false);
+  for (const SourceFile& f : files_) {
+    if (&f == metrics) continue;
+    const std::vector<Token>& ft = f.tokens;
+    for (std::size_t t = 0; t < ft.size(); ++t) {
+      if (ft[t].kind != TokKind::Identifier) continue;
+      const auto it = written.find(ft[t].text);
+      if (it == written.end() || it->second) continue;
+      if (t + 1 < ft.size()) {
+        const std::string& nx = ft[t + 1].text;
+        if (nx == "=" || nx == "+=" || nx == "-=" || nx == "++" || nx == "--")
+          it->second = true;
       }
-      if (written) break;
+      if (t > 0 && (ft[t - 1].text == "++" || ft[t - 1].text == "--"))
+        it->second = true;
+      // Pre-increment through a member access: `++ctr.field`.
+      if (t >= 3 && (ft[t - 1].text == "." || ft[t - 1].text == "->") &&
+          (ft[t - 3].text == "++" || ft[t - 3].text == "--"))
+        it->second = true;
     }
-    if (!written) {
+  }
+
+  for (const Field& field : fields) {
+    if (!written.at(field.name)) {
       pending_.push_back({metrics->rel_path, field.line, "metrics-registry",
                           "counter '" + field.name +
                               "' is declared but never written anywhere "
                               "under src/"});
     }
-    bool documented = false;
-    for (const std::string& doc : doc_texts_)
-      if (doc.find(field.name) != std::string::npos) documented = true;
+    const std::boyer_moore_horspool_searcher needle(field.name.begin(),
+                                                    field.name.end());
+    const bool documented = std::any_of(
+        doc_texts_.begin(), doc_texts_.end(), [&](const std::string& doc) {
+          return std::search(doc.begin(), doc.end(), needle) != doc.end();
+        });
     if (!documented) {
       pending_.push_back({metrics->rel_path, field.line, "metrics-registry",
                           "counter '" + field.name +
