@@ -8,10 +8,21 @@
 // per-record cost grows linearly with n; the centralized baseline is a
 // single message and wins raw throughput — the price of zero store
 // confidentiality.
+//
+// Beside it, the fixed costs each owner pays per fragment upload: the
+// ticket check (one HMAC-SHA256 over the ticket text), the WAL frame
+// append, and SHA-256 itself at one block and at 4.8 KB.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
 
 #include "audit/cluster.hpp"
+#include "audit/ticket.hpp"
 #include "baseline/centralized.hpp"
+#include "crypto/sha256.hpp"
+#include "logm/wal.hpp"
 #include "logm/workload.hpp"
 
 using namespace dla;
@@ -107,6 +118,61 @@ void BM_CentralizedLogging(benchmark::State& state) {
   state.counters["msgs/record"] = 1;
 }
 
+// SHA-256 of range(0) random bytes, on the kernel chosen for this CPU.
+void BM_Sha256(benchmark::State& state) {
+  std::vector<std::uint8_t> data(static_cast<std::size_t>(state.range(0)));
+  crypto::ChaCha20Rng rng(31);
+  rng.fill(data);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::Sha256::hash(data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+
+// The ticket check an owner runs on every fragment upload: the MAC over the
+// ticket text, compared in constant time, plus the operation lookup.
+void BM_TicketAuthorize(benchmark::State& state) {
+  const audit::TicketService tickets(audit::ClusterConfig{}.ticket_key);
+  const audit::Ticket ticket = tickets.issue(
+      "BENCH0", "u0", {logm::Op::Read, logm::Op::Write, logm::Op::Delete},
+      /*auditor=*/true);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        tickets.authorizes(ticket, logm::Op::Write, /*now=*/0));
+  }
+}
+
+// One WAL put frame, a paper-schema record's fragment, appended to a log
+// held open as SegmentEngine holds wal.log. The log is emptied every 4096
+// frames, as a seal would, to keep the file small.
+void BM_WalAppend(benchmark::State& state) {
+  namespace fs = std::filesystem;
+  crypto::ChaCha20Rng rng(37);
+  logm::WorkloadSpec spec;
+  spec.records = 1;
+  const logm::LogRecord record = logm::generate_workload(spec, rng).front();
+  net::Writer w;
+  logm::paper_partition().fragment(record).front().encode(w);
+  const net::Bytes payload = w.bytes();
+  const fs::path path = fs::temp_directory_path() /
+                        ("dla_bench_wal_" + std::to_string(::getpid()));
+  std::ofstream log(path, std::ios::binary | std::ios::trunc);
+  std::size_t frames = 0;
+  for (auto _ : state) {
+    logm::walio::append_frame(log, logm::walio::kOpPut, payload);
+    if (++frames % 4096 == 0) {
+      log.close();
+      log.open(path, std::ios::binary | std::ios::trunc);
+    }
+  }
+  log.close();
+  fs::remove(path);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(payload.size() + 9));
+  state.counters["payload_B"] = static_cast<double>(payload.size());
+}
+
 }  // namespace
 
 BENCHMARK(BM_DlaLogging)
@@ -125,5 +191,9 @@ BENCHMARK(BM_DlaLoggingBandwidthLimited)
     ->Arg(1000);
 
 BENCHMARK(BM_CentralizedLogging)->Unit(benchmark::kMillisecond)->Arg(64)->Arg(256);
+
+BENCHMARK(BM_Sha256)->Unit(benchmark::kMicrosecond)->Arg(64)->Arg(4800);
+BENCHMARK(BM_TicketAuthorize)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_WalAppend)->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_MAIN();

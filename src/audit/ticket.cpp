@@ -1,15 +1,21 @@
 #include "audit/ticket.hpp"
 
-#include <sstream>
-
 namespace dla::audit {
 
 std::string Ticket::authenticated_payload() const {
-  std::ostringstream os;
-  os << id << '\n' << principal << '\n';
-  for (logm::Op op : ops) os << logm::to_string(op);
-  os << '\n' << (auditor ? "A" : "u") << '\n' << expires_at;
-  return os.str();
+  const std::string expiry = std::to_string(expires_at);
+  std::string text;
+  text.reserve(id.size() + principal.size() + ops.size() + expiry.size() + 5);
+  text += id;
+  text += '\n';
+  text += principal;
+  text += '\n';
+  for (logm::Op op : ops) text += logm::to_string(op);
+  text += '\n';
+  text += auditor ? 'A' : 'u';
+  text += '\n';
+  text += expiry;
+  return text;
 }
 
 void Ticket::encode(net::Writer& w) const {
@@ -40,8 +46,8 @@ Ticket Ticket::decode(net::Reader& r) {
   return t;
 }
 
-TicketService::TicketService(std::vector<std::uint8_t> mac_key)
-    : key_(std::move(mac_key)) {}
+TicketService::TicketService(const std::vector<std::uint8_t>& mac_key)
+    : mac_key_(mac_key) {}
 
 Ticket TicketService::issue(std::string id, std::string principal,
                             std::set<logm::Op> ops, bool auditor,
@@ -52,14 +58,14 @@ Ticket TicketService::issue(std::string id, std::string principal,
   t.ops = std::move(ops);
   t.auditor = auditor;
   t.expires_at = expires_at;
-  t.mac = crypto::hmac_sha256(key_, t.authenticated_payload());
+  t.mac = mac_key_.mac(t.authenticated_payload());
   return t;
 }
 
 bool TicketService::verify(const Ticket& ticket, std::uint64_t now) const {
   if (ticket.expires_at != 0 && now > ticket.expires_at) return false;
-  return crypto::hmac_sha256(key_, ticket.authenticated_payload()) ==
-         ticket.mac;
+  return crypto::digest_equal(mac_key_.mac(ticket.authenticated_payload()),
+                              ticket.mac);
 }
 
 bool TicketService::authorizes(const Ticket& ticket, logm::Op op,

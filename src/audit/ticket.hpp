@@ -37,18 +37,19 @@ struct Ticket {
 // same key (cluster-shared secret), so verification is local.
 class TicketService {
  public:
-  explicit TicketService(std::vector<std::uint8_t> mac_key);
+  explicit TicketService(const std::vector<std::uint8_t>& mac_key);
 
   Ticket issue(std::string id, std::string principal, std::set<logm::Op> ops,
                bool auditor = false, std::uint64_t expires_at = 0) const;
 
-  // MAC check plus expiry against `now`.
+  // MAC check plus expiry against `now`. The MAC is compared in constant
+  // time.
   bool verify(const Ticket& ticket, std::uint64_t now) const;
   // MAC check, expiry, and operation membership.
   bool authorizes(const Ticket& ticket, logm::Op op, std::uint64_t now) const;
 
  private:
-  std::vector<std::uint8_t> key_;
+  crypto::HmacSha256Key mac_key_;
 };
 
 }  // namespace dla::audit

@@ -82,6 +82,10 @@ SegmentEngine::SegmentEngine(std::string dir, Options options)
   load_manifest();
   sweep_orphans();
   replay_wal();
+  // Opened only once replay has cut any torn tail, so that new frames land
+  // right behind the intact prefix.
+  wal_.open(wal_path(), std::ios::binary | std::ios::app);
+  if (!wal_) throw SegmentError("SegmentEngine: cannot open WAL in " + dir_);
   visible_count_ = recompute_visible();
 }
 
@@ -186,7 +190,7 @@ void SegmentEngine::replay_wal() {
 
 void SegmentEngine::wal_append(std::uint8_t op, const net::Bytes& payload) {
   if (ephemeral_) return;  // clones are in-memory only
-  walio::append_frame(wal_path(), op, payload);
+  walio::append_frame(wal_, op, payload);
   if (options_.sync_mode == SyncMode::EveryFrame) {
     if (walio::sync_file(wal_path())) ++file_sync_calls_;
   }
@@ -194,10 +198,9 @@ void SegmentEngine::wal_append(std::uint8_t op, const net::Bytes& payload) {
 
 void SegmentEngine::reset_wal() {
   if (ephemeral_) return;
-  {
-    std::ofstream out(wal_path(), std::ios::binary | std::ios::trunc);
-    if (!out) throw SegmentError("SegmentEngine: cannot reset WAL in " + dir_);
-  }
+  wal_.close();
+  wal_.open(wal_path(), std::ios::binary | std::ios::trunc);
+  if (!wal_) throw SegmentError("SegmentEngine: cannot reset WAL in " + dir_);
   if (walio::sync_file(wal_path())) ++file_sync_calls_;
 }
 

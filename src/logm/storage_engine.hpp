@@ -35,6 +35,7 @@
 #pragma once
 
 #include <cstdint>
+#include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
@@ -176,7 +177,9 @@ class SegmentEngine final : public StorageEngine {
   };
 
   // Opens (creating if absent) the engine directory, loads the manifest,
-  // validates every live segment, sweeps orphans, and replays the WAL.
+  // validates every live segment, sweeps orphans, replays the WAL, and
+  // holds the WAL open for appending until the engine is destroyed. A moved
+  // engine takes the open WAL with it.
   explicit SegmentEngine(std::string dir);
   SegmentEngine(std::string dir, Options options);
 
@@ -292,6 +295,7 @@ class SegmentEngine final : public StorageEngine {
   std::string dir_;
   Options options_;
   bool ephemeral_ = false;  // clone: no WAL, no manifest writes
+  std::ofstream wal_;       // wal.log, open for appending; never on a clone
   std::shared_ptr<const SegmentList> segments_ =
       std::make_shared<SegmentList>();
   std::uint64_t next_seq_ = 1;

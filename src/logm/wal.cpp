@@ -29,9 +29,10 @@ std::array<std::uint32_t, 256> make_crc_table() {
 
 }  // namespace
 
-std::uint32_t crc32(const std::uint8_t* data, std::size_t len) {
+std::uint32_t crc32(const std::uint8_t* data, std::size_t len,
+                    std::uint32_t crc) {
   static const auto table = make_crc_table();
-  std::uint32_t c = 0xFFFFFFFFu;
+  std::uint32_t c = crc ^ 0xFFFFFFFFu;
   for (std::size_t i = 0; i < len; ++i) {
     c = table[(c ^ data[i]) & 0xFF] ^ (c >> 8);
   }
@@ -40,24 +41,20 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t len) {
 
 namespace walio {
 
-void append_frame(const std::string& path, std::uint8_t op,
+void append_frame(std::ostream& log, std::uint8_t op,
                   const net::Bytes& payload) {
-  std::ofstream out(path, std::ios::binary | std::ios::app);
-  if (!out) throw std::runtime_error("walio: cannot open " + path);
-  net::Bytes crc_input;
-  crc_input.push_back(op);
-  crc_input.insert(crc_input.end(), payload.begin(), payload.end());
-  std::uint32_t crc = crc32(crc_input.data(), crc_input.size());
+  const std::uint32_t crc =
+      crc32(payload.data(), payload.size(), crc32(&op, 1));
   std::uint32_t len = static_cast<std::uint32_t>(payload.size());
   std::uint8_t header[9];
   for (int i = 0; i < 4; ++i) header[i] = static_cast<std::uint8_t>(len >> (8 * i));
   for (int i = 0; i < 4; ++i) header[4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
   header[8] = op;
-  out.write(reinterpret_cast<const char*>(header), sizeof(header));
-  out.write(reinterpret_cast<const char*>(payload.data()),
+  log.write(reinterpret_cast<const char*>(header), sizeof(header));
+  log.write(reinterpret_cast<const char*>(payload.data()),
             static_cast<std::streamsize>(payload.size()));
-  out.flush();
-  if (!out) throw std::runtime_error("walio: write failed on " + path);
+  log.flush();
+  if (!log) throw std::runtime_error("walio: frame write failed");
 }
 
 ReplayStats replay_frames(
@@ -87,10 +84,7 @@ ReplayStats replay_frames(
       ++stats.corrupt_skipped;  // torn payload
       break;
     }
-    net::Bytes crc_input;
-    crc_input.push_back(op);
-    crc_input.insert(crc_input.end(), payload.begin(), payload.end());
-    if (crc32(crc_input.data(), crc_input.size()) != crc) {
+    if (crc32(payload.data(), payload.size(), crc32(&op, 1)) != crc) {
       ++stats.corrupt_skipped;
       // A corrupt frame invalidates everything after it — the write was
       // not acknowledged, so recovery stops here.

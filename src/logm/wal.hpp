@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <string>
 
 #include "net/bytes.hpp"
@@ -18,17 +19,21 @@
 namespace dla::logm {
 
 // CRC32 (IEEE, reflected) — also used by the tests to corrupt frames.
-std::uint32_t crc32(const std::uint8_t* data, std::size_t len);
+// `crc` continues the CRC of bytes that came before: crc32(b, n, crc32(a, m))
+// is the CRC of a followed by b.
+std::uint32_t crc32(const std::uint8_t* data, std::size_t len,
+                    std::uint32_t crc = 0);
 
 namespace walio {
 
 constexpr std::uint8_t kOpPut = 0;
 constexpr std::uint8_t kOpErase = 1;
 
-// Appends one CRC-protected frame to the log (creating it if absent) and
-// flushes to the page cache. Does NOT fsync — callers decide when the frame
-// must reach stable storage. Throws std::runtime_error on I/O failure.
-void append_frame(const std::string& path, std::uint8_t op,
+// Appends one CRC-protected frame to `log`, a stream the caller holds open on
+// the log file, and flushes it to the page cache. Does NOT fsync — callers
+// decide when the frame must reach stable storage. Throws std::runtime_error
+// on I/O failure.
+void append_frame(std::ostream& log, std::uint8_t op,
                   const net::Bytes& payload);
 
 struct ReplayStats {

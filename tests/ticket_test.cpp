@@ -34,6 +34,30 @@ TEST(Ticket, TamperedFieldsRejected) {
   EXPECT_FALSE(svc.verify(forged, 0));
 }
 
+// A forged MAC that differs from the true one in any single byte is
+// refused, wherever that byte sits.
+TEST(Ticket, EveryMacByteIsChecked) {
+  TicketService svc(key());
+  const Ticket t = svc.issue("T1", "u0", {logm::Op::Read});
+  for (std::size_t i = 0; i < t.mac.size(); ++i) {
+    Ticket forged = t;
+    forged.mac[i] ^= 0x80;
+    EXPECT_FALSE(svc.verify(forged, 0)) << "MAC byte " << i;
+  }
+}
+
+// The MAC'd text is part of the ticket format: every node must render it
+// byte for byte alike, or tickets minted by one fail on another.
+TEST(Ticket, AuthenticatedPayloadText) {
+  TicketService svc(key());
+  EXPECT_EQ(svc.issue("T1", "u0", {logm::Op::Delete, logm::Op::Read}, true,
+                      12345)
+                .authenticated_payload(),
+            "T1\nu0\nRD\nA\n12345");
+  EXPECT_EQ(svc.issue("T2", "u1", {}).authenticated_payload(),
+            "T2\nu1\n\nu\n0");
+}
+
 TEST(Ticket, WrongKeyRejected) {
   TicketService svc(key());
   TicketService other({9, 9, 9});

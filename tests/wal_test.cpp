@@ -1,13 +1,15 @@
 // Tests for the segment engine's write-ahead log (wal.log): replay on
 // reopen, crash recovery semantics (torn/corrupt tails), erase frames,
-// per-frame fsync, and that recovery cuts a bad tail off before new frames
-// are appended behind it.
+// per-frame fsync, that recovery cuts a bad tail off before new frames
+// are appended behind it, and that the log the engine holds open follows a
+// seal's reset and a move of the engine.
 #include "logm/wal.hpp"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <memory>
 
 #include "logm/storage_engine.hpp"
 
@@ -209,11 +211,60 @@ TEST_F(WalFixture, AppendSyncsEveryAcknowledgedFrame) {
   EXPECT_EQ(eng.file_sync_calls(), 3u);
 }
 
+// seal() empties the log through the engine's open handle: the next frame
+// lands at the start of the emptied log, not behind the old frames' bytes.
+TEST_F(WalFixture, PutAfterSealLandsInEmptiedLog) {
+  {
+    SegmentEngine eng = open();
+    eng.put(frag(1, 100));
+    eng.put(frag(2, 200));
+    EXPECT_EQ(eng.seal(), 2u);
+    EXPECT_EQ(fs::file_size(wal), 0u);
+    eng.put(frag(3, 300));
+    const walio::ReplayStats stats = scan_wal();
+    EXPECT_EQ(stats.replayed, 1u);
+    EXPECT_EQ(stats.intact_bytes, fs::file_size(wal));
+  }
+  SegmentEngine reopened = open();
+  EXPECT_EQ(reopened.size(), 3u);
+  EXPECT_EQ(reopened.fetch(3)->attrs.at("Time").as_int(), 300);
+  EXPECT_EQ(scan_wal().corrupt_skipped, 0u);
+}
+
+// An engine moved out of where it was opened keeps appending to its log;
+// the moved-from engine neither writes to the log nor closes it when it
+// goes.
+TEST_F(WalFixture, MovedEngineKeepsAppending) {
+  auto source = std::make_unique<SegmentEngine>(open());
+  source->put(frag(1, 100));
+  {
+    SegmentEngine moved(std::move(*source));
+    const auto size_before = fs::file_size(wal);
+    source.reset();
+    EXPECT_EQ(fs::file_size(wal), size_before);
+    moved.put(frag(2, 200));
+    EXPECT_TRUE(moved.erase(1));
+    EXPECT_EQ(moved.file_sync_calls(), 3u);
+  }
+  EXPECT_EQ(scan_wal().replayed, 3u);
+  SegmentEngine reopened = open();
+  EXPECT_EQ(reopened.size(), 1u);
+  EXPECT_TRUE(reopened.contains(2));
+}
+
 TEST(WalCrc, KnownVector) {
   // CRC32("123456789") = 0xCBF43926 (IEEE).
   const char* s = "123456789";
   EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t*>(s), 9), 0xCBF43926u);
   EXPECT_EQ(crc32(nullptr, 0), 0u);
+  // Chained over any split, as a frame's CRC runs over its op byte and
+  // then its payload.
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(s);
+  for (std::size_t split = 0; split <= 9; ++split) {
+    EXPECT_EQ(crc32(bytes + split, 9 - split, crc32(bytes, split)),
+              0xCBF43926u)
+        << "split " << split;
+  }
 }
 
 }  // namespace
