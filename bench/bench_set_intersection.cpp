@@ -24,6 +24,7 @@
 
 #include "audit/cluster.hpp"
 #include "audit/metrics.hpp"
+#include "bignum/montgomery.hpp"
 #include "crypto/modexp_engine.hpp"
 #include "crypto/pohlig_hellman.hpp"
 #include "logm/workload.hpp"
@@ -194,6 +195,48 @@ void BM_PohligHellmanEncryptBatch(benchmark::State& state) {
       static_cast<double>(state.iterations() * count),
       benchmark::Counter::kIsRate);
 }
+
+// One lane multiply (a * b) or square (a^2) at 256 bits (K = 5 limbs of 52
+// bits) over range(0) groups of eight lanes, each call on the previous
+// call's output as in a modexp's chain of steps: the dependent latency that
+// two groups in one instruction stream overlap. elem/s counts lanes.
+template <bool kSquare>
+void lane_step(benchmark::State& state) {
+  using Ctx = bn::MontgomeryContext;
+  const std::size_t groups = static_cast<std::size_t>(state.range(0));
+  const Ctx ctx(crypto::PhDomain::fixed256().p);
+  if (groups > ctx.lane_groups()) {
+    state.SkipWithError("the CPU or the modulus runs fewer lane groups");
+    return;
+  }
+  crypto::ChaCha20Rng rng(13);
+  std::vector<bn::BigUInt> values(Ctx::kLanes);
+  for (bn::BigUInt& v : values) {
+    v = bn::BigUInt::random_below(rng, ctx.modulus());
+  }
+  const std::size_t group_words = ctx.lane_limbs() * Ctx::kLanes;
+  std::vector<std::uint64_t> acc(groups * group_words);
+  for (std::size_t g = 0; g < groups; ++g) {
+    ctx.to_lanes_raw(values.data(), Ctx::kLanes, acc.data() + g * group_words);
+  }
+  const std::vector<std::uint64_t> b = acc;
+  for (auto _ : state) {
+    if constexpr (kSquare) {
+      ctx.lane_sqr_raw(acc.data(), acc.data(), groups);
+    } else {
+      ctx.lane_mul_raw(acc.data(), b.data(), acc.data(), groups);
+    }
+    benchmark::DoNotOptimize(acc.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["groups"] = static_cast<double>(groups);
+  state.counters["elem/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * groups * Ctx::kLanes),
+      benchmark::Counter::kIsRate);
+}
+
+void BM_LaneMul(benchmark::State& state) { lane_step<false>(state); }
+void BM_LaneSqr(benchmark::State& state) { lane_step<true>(state); }
 
 // The 512-bit safe prime PhDomain::generate draws from ChaCha20Rng(5), the
 // domain BM_PohligHellmanEncrypt/512 builds. Written out because generating
@@ -417,11 +460,17 @@ BENCHMARK(BM_PlaintextIntersection)
 
 BENCHMARK(BM_PohligHellmanEncrypt)->Arg(128)->Arg(256)->Arg(512);
 
+// 64 elements is the ring's chunk size; 16 is two lane groups.
 BENCHMARK(BM_PohligHellmanEncryptBatch)
     ->Unit(benchmark::kMillisecond)
+    ->Args({256, 16})
+    ->Args({256, 64})
     ->Args({256, 128})
     ->Args({256, 1024})
     ->Args({512, 128});
+
+BENCHMARK(BM_LaneMul)->Arg(1)->Arg(2);
+BENCHMARK(BM_LaneSqr)->Arg(1)->Arg(2);
 
 BENCHMARK(BM_ModInverse)->Unit(benchmark::kMicrosecond)->DenseRange(0, 3);
 

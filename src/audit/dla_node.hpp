@@ -469,7 +469,9 @@ class DlaNode : public net::Node {
   std::set<std::pair<net::NodeId, std::uint64_t>> user_queries_in_flight_;
   // Owner: glsns whose fragment was deleted; a late or replayed kLogFragment
   // for one must not resurrect the fragment, its ACL entry or its deposit.
-  ReplayGuard deleted_glsns_;
+  // Exact, not a bounded journal: an evicted tombstone would let a replay
+  // any number of deletes later restore the record.
+  std::set<logm::Glsn> deleted_glsns_;
 
   // periodic self-audit state.
   net::SimTime periodic_interval_ = 0;

@@ -212,64 +212,184 @@ bool cpu_has_lanes() {
   return has;
 }
 
-// The 8-lane almost-Montgomery multiply for K limbs of 52 bits, operand
-// scanning: row i adds b[i] * a and then q * m, q = acc[0] * k0 mod 2^52,
-// as unnormalised low and high 52-bit halves into 64-bit lane accumulators,
-// and drops the low limb that q cleared. A limb gathers at most 4K halves
-// below 2^52 (< 2^58 for K <= 10), so one carry pass normalises the result.
-// Every __m512i stays inside this function: only word arrays cross it.
+// The 8-lane almost-Montgomery kernels for K limbs of 52 bits, run over G
+// independent lane groups in one instruction stream: every step issues the
+// G groups' IFMAs side by side, so the out-of-order core overlaps their
+// serial q -> q * m -> carry chains, which bound a single group's speed.
+// Group g's operands and result sit at word g * K * kLanes. Products go in
+// as unnormalised low and high 52-bit halves into 64-bit lane accumulators;
+// a limb gathers fewer than 4K + 3 halves below 2^52 (< 2^58 for K <= 10),
+// so one carry pass normalises the result, and no carry leaves its top limb
+// because the result is below 2m < R. Both kernels return (T + Q * m) / R
+// for the same product T and the unique Q < R with T + Q * m = 0 mod R, so
+// the square and the multiply of a value by itself agree word for word.
+// Every __m512i stays inside these functions: only word arrays cross them.
 // Shifts use the zero-masking form with every lane selected: it is the same
 // instruction, but GCC 12's unmasked forms pass an undefined source that
 // trips -Wuninitialized (GCC bugzilla 105593).
+#define DLA_LANE_TARGET __attribute__((target("avx512f,avx512ifma")))
+
+DLA_LANE_TARGET inline __m512i srli52(__m512i v) {
+  return _mm512_maskz_srli_epi64(0xFF, v, 52);
+}
+
+// Normalises the K accumulators t of one group into out, K limbs of 52 bits.
 template <std::size_t K>
-__attribute__((target("avx512f,avx512ifma"))) void lane_mul(
-    const u64* mod, u64 k0, const u64* a, const u64* b, u64* out) {
-  const __m512i zero = _mm512_setzero_si512();
-  const __m512i k0v = _mm512_set1_epi64(static_cast<long long>(k0));
-  __m512i av[K] = {};
-  __m512i mv[K] = {};
-  __m512i acc[K + 1] = {};
-#pragma GCC unroll 10
-  for (std::size_t j = 0; j < K; ++j) {
-    av[j] = _mm512_loadu_si512(a + j * kLanes);
-    mv[j] = _mm512_set1_epi64(static_cast<long long>(mod[j]));
-  }
-#pragma GCC unroll 10
-  for (std::size_t i = 0; i < K; ++i) {
-    const __m512i bi = _mm512_loadu_si512(b + i * kLanes);
-#pragma GCC unroll 10
-    for (std::size_t j = 0; j < K; ++j) {
-      acc[j] = _mm512_madd52lo_epu64(acc[j], av[j], bi);
-      acc[j + 1] = _mm512_madd52hi_epu64(acc[j + 1], av[j], bi);
-    }
-    const __m512i q = _mm512_madd52lo_epu64(zero, acc[0], k0v);
-#pragma GCC unroll 10
-    for (std::size_t j = 0; j < K; ++j) {
-      acc[j] = _mm512_madd52lo_epu64(acc[j], mv[j], q);
-      acc[j + 1] = _mm512_madd52hi_epu64(acc[j + 1], mv[j], q);
-    }
-    const __m512i carry = _mm512_maskz_srli_epi64(0xFF, acc[0], 52);
-    acc[1] = _mm512_add_epi64(acc[1], carry);
-#pragma GCC unroll 10
-    for (std::size_t j = 0; j < K; ++j) acc[j] = acc[j + 1];
-    acc[K] = zero;
-  }
-  // The result is below 2m < R, so no carry leaves the top limb.
+DLA_LANE_TARGET inline void lane_store(const __m512i* t, u64* out) {
   const __m512i mask = _mm512_set1_epi64(static_cast<long long>(kMask52));
-  __m512i carry = zero;
+  __m512i carry = _mm512_setzero_si512();
 #pragma GCC unroll 10
   for (std::size_t j = 0; j < K; ++j) {
-    const __m512i v = _mm512_add_epi64(acc[j], carry);
+    const __m512i v = _mm512_add_epi64(t[j], carry);
     _mm512_storeu_si512(out + j * kLanes, _mm512_and_si512(v, mask));
-    carry = _mm512_maskz_srli_epi64(0xFF, v, 52);
+    carry = srli52(v);
   }
 }
 
-template <class Fn, std::size_t... K>
-constexpr std::array<Fn, sizeof...(K) + 1> lane_table(
-    std::index_sequence<K...>) {
-  return {{nullptr, &lane_mul<K + 1>...}};
+// Operand scanning: row i adds b[i] * a and then q * m, q = acc[0] * k0 mod
+// 2^52, and drops the low limb that q cleared.
+template <std::size_t K, std::size_t G>
+DLA_LANE_TARGET void lane_mul(const u64* mod, u64 k0, const u64* a,
+                              const u64* b, u64* out) {
+  const __m512i zero = _mm512_setzero_si512();
+  const __m512i k0v = _mm512_set1_epi64(static_cast<long long>(k0));
+  __m512i mv[K] = {};
+  __m512i av[G][K] = {};
+  __m512i acc[G][K + 1] = {};
+#pragma GCC unroll 10
+  for (std::size_t j = 0; j < K; ++j) {
+    mv[j] = _mm512_set1_epi64(static_cast<long long>(mod[j]));
+#pragma GCC unroll 2
+    for (std::size_t g = 0; g < G; ++g) {
+      av[g][j] = _mm512_loadu_si512(a + (g * K + j) * kLanes);
+    }
+  }
+#pragma GCC unroll 10
+  for (std::size_t i = 0; i < K; ++i) {
+    __m512i bi[G];
+    __m512i q[G];
+#pragma GCC unroll 2
+    for (std::size_t g = 0; g < G; ++g) {
+      bi[g] = _mm512_loadu_si512(b + (g * K + i) * kLanes);
+    }
+#pragma GCC unroll 10
+    for (std::size_t j = 0; j < K; ++j) {
+#pragma GCC unroll 2
+      for (std::size_t g = 0; g < G; ++g) {
+        acc[g][j] = _mm512_madd52lo_epu64(acc[g][j], av[g][j], bi[g]);
+        acc[g][j + 1] = _mm512_madd52hi_epu64(acc[g][j + 1], av[g][j], bi[g]);
+      }
+    }
+#pragma GCC unroll 2
+    for (std::size_t g = 0; g < G; ++g) {
+      q[g] = _mm512_madd52lo_epu64(zero, acc[g][0], k0v);
+    }
+#pragma GCC unroll 10
+    for (std::size_t j = 0; j < K; ++j) {
+#pragma GCC unroll 2
+      for (std::size_t g = 0; g < G; ++g) {
+        acc[g][j] = _mm512_madd52lo_epu64(acc[g][j], mv[j], q[g]);
+        acc[g][j + 1] = _mm512_madd52hi_epu64(acc[g][j + 1], mv[j], q[g]);
+      }
+    }
+#pragma GCC unroll 2
+    for (std::size_t g = 0; g < G; ++g) {
+      acc[g][1] = _mm512_add_epi64(acc[g][1], srli52(acc[g][0]));
+#pragma GCC unroll 10
+      for (std::size_t j = 0; j < K; ++j) acc[g][j] = acc[g][j + 1];
+      acc[g][K] = zero;
+    }
+  }
+#pragma GCC unroll 2
+  for (std::size_t g = 0; g < G; ++g) {
+    lane_store<K>(acc[g], out + g * K * kLanes);
+  }
 }
+
+// The cross products a[i] * a[j] (i < j) once into a 2K-limb accumulator,
+// doubled with one add per limb, plus the diagonal a[i]^2; then K reduction
+// rows, row i adding q * m at limb i, q = t[i] * k0 mod 2^52, and carrying
+// t[i] >> 52 into t[i + 1]. Limbs K..2K-1 hold the result.
+template <std::size_t K, std::size_t G>
+DLA_LANE_TARGET void lane_sqr(const u64* mod, u64 k0, const u64* a,
+                              u64* out) {
+  const __m512i zero = _mm512_setzero_si512();
+  const __m512i k0v = _mm512_set1_epi64(static_cast<long long>(k0));
+  __m512i av[G][K] = {};
+  __m512i t[G][2 * K] = {};
+#pragma GCC unroll 2
+  for (std::size_t g = 0; g < G; ++g) {
+#pragma GCC unroll 10
+    for (std::size_t j = 0; j < K; ++j) {
+      av[g][j] = _mm512_loadu_si512(a + (g * K + j) * kLanes);
+    }
+  }
+#pragma GCC unroll 10
+  for (std::size_t i = 0; i + 1 < K; ++i) {
+#pragma GCC unroll 10
+    for (std::size_t j = i + 1; j < K; ++j) {
+#pragma GCC unroll 2
+      for (std::size_t g = 0; g < G; ++g) {
+        t[g][i + j] = _mm512_madd52lo_epu64(t[g][i + j], av[g][i], av[g][j]);
+        t[g][i + j + 1] =
+            _mm512_madd52hi_epu64(t[g][i + j + 1], av[g][i], av[g][j]);
+      }
+    }
+  }
+#pragma GCC unroll 10
+  for (std::size_t i = 0; i < K; ++i) {
+#pragma GCC unroll 2
+    for (std::size_t g = 0; g < G; ++g) {
+      const __m512i lo = _mm512_add_epi64(t[g][2 * i], t[g][2 * i]);
+      const __m512i hi = _mm512_add_epi64(t[g][2 * i + 1], t[g][2 * i + 1]);
+      t[g][2 * i] = _mm512_madd52lo_epu64(lo, av[g][i], av[g][i]);
+      t[g][2 * i + 1] = _mm512_madd52hi_epu64(hi, av[g][i], av[g][i]);
+    }
+  }
+#pragma GCC unroll 10
+  for (std::size_t i = 0; i < K; ++i) {
+    __m512i q[G];
+#pragma GCC unroll 2
+    for (std::size_t g = 0; g < G; ++g) {
+      q[g] = _mm512_madd52lo_epu64(zero, t[g][i], k0v);
+    }
+#pragma GCC unroll 10
+    for (std::size_t j = 0; j < K; ++j) {
+      const __m512i mj = _mm512_set1_epi64(static_cast<long long>(mod[j]));
+#pragma GCC unroll 2
+      for (std::size_t g = 0; g < G; ++g) {
+        t[g][i + j] = _mm512_madd52lo_epu64(t[g][i + j], mj, q[g]);
+        t[g][i + j + 1] = _mm512_madd52hi_epu64(t[g][i + j + 1], mj, q[g]);
+      }
+    }
+#pragma GCC unroll 2
+    for (std::size_t g = 0; g < G; ++g) {
+      t[g][i + 1] = _mm512_add_epi64(t[g][i + 1], srli52(t[g][i]));
+    }
+  }
+#pragma GCC unroll 2
+  for (std::size_t g = 0; g < G; ++g) {
+    lane_store<K>(t[g] + K, out + g * K * kLanes);
+  }
+}
+
+// Two groups for K <= kMaxTwoGroupLimbs, one above; see the header.
+template <class Table, std::size_t K>
+constexpr Table lane_kernels() {
+  if constexpr (K <= MontgomeryContext::kMaxTwoGroupLimbs) {
+    return {{&lane_mul<K, 1>, &lane_mul<K, 2>},
+            {&lane_sqr<K, 1>, &lane_sqr<K, 2>}};
+  } else {
+    return {{&lane_mul<K, 1>, nullptr}, {&lane_sqr<K, 1>, nullptr}};
+  }
+}
+
+template <class Table, std::size_t... K>
+constexpr std::array<Table, sizeof...(K)> lane_table(
+    std::index_sequence<K...>) {
+  return {{lane_kernels<Table, K + 1>()...}};
+}
+#undef DLA_LANE_TARGET
 #endif
 
 }  // namespace
@@ -281,6 +401,13 @@ struct MontgomeryContext::Kernels {
               u64* out, u64* scratch);
   void (*redc)(const u64* mod, u64 n_prime, std::size_t n, const u64* v,
                u64* out, u64* scratch);
+};
+
+struct MontgomeryContext::LaneKernels {
+  // Entry g - 1 runs g groups; null where K is too wide for two.
+  void (*mul[2])(const u64* mod, u64 k0, const u64* a, const u64* b,
+                 u64* out);
+  void (*sqr[2])(const u64* mod, u64 k0, const u64* a, u64* out);
 };
 
 MontgomeryContext::MontgomeryContext(BigUInt modulus)
@@ -309,9 +436,10 @@ MontgomeryContext::MontgomeryContext(BigUInt modulus)
   const std::size_t k = (modulus_.bit_length() + 2 + 51) / 52;
   if (k <= kMaxLaneLimbs && cpu_has_lanes()) {
     static constexpr auto kLaneTable =
-        lane_table<LaneMul>(std::make_index_sequence<kMaxLaneLimbs>{});
-    lane_mul_ = kLaneTable[k];
+        lane_table<LaneKernels>(std::make_index_sequence<kMaxLaneLimbs>{});
+    lane_kernels_ = &kLaneTable[k - 1];
     lane_limbs_ = k;
+    lane_groups_ = lane_kernels_->mul[1] != nullptr ? 2 : 1;
     lane_k0_ = n_prime_ & kMask52;
     lane_mod_.resize(k);
     split52(mod_limbs_.data(), n_limbs_, k, 1, lane_mod_.data());
@@ -368,12 +496,17 @@ void MontgomeryContext::to_lanes_raw(const BigUInt* v, std::size_t count,
               out + l);
     }
   }
-  lane_mul_raw(out, lane_r2_.data(), out);
+  lane_mul_raw(out, lane_r2_.data(), out, 1);
 }
 
-void MontgomeryContext::lane_mul_raw(const u64* a, const u64* b,
-                                     u64* out) const {
-  lane_mul_(lane_mod_.data(), lane_k0_, a, b, out);
+void MontgomeryContext::lane_mul_raw(const u64* a, const u64* b, u64* out,
+                                     std::size_t groups) const {
+  lane_kernels_->mul[groups - 1](lane_mod_.data(), lane_k0_, a, b, out);
+}
+
+void MontgomeryContext::lane_sqr_raw(const u64* a, u64* out,
+                                     std::size_t groups) const {
+  lane_kernels_->sqr[groups - 1](lane_mod_.data(), lane_k0_, a, out);
 }
 
 void MontgomeryContext::from_lanes_raw(const u64* v, std::size_t count,
@@ -382,7 +515,7 @@ void MontgomeryContext::from_lanes_raw(const u64* v, std::size_t count,
   std::fill_n(one.data(), kLanes, 1);
   std::array<u64, kMaxLaneLimbs * kLanes> t{};
   // t = v * R^-1 < m + 1, and t = m only for a lane that is 0 mod m.
-  lane_mul_raw(v, one.data(), t.data());
+  lane_mul_raw(v, one.data(), t.data(), 1);
   for (std::size_t l = 0; l < count; ++l) {
     bool is_m = true;
     for (std::size_t j = 0; j < lane_limbs_; ++j) {

@@ -26,16 +26,38 @@
 // gives bit-identical results. Measured on an x86-64 Xeon (GCC 12.2, -O2),
 // a square costs 1.0x a multiply at 256 bits and 0.8x at 512 and 1024 bits.
 //
-// Beside the scalar kernels sits an 8-lane multiply for batches that share
-// one modulus: eight values in the 52-bit lanes of AVX-512 IFMA (Gueron &
-// Krasnov, ARITH 2016), radix 2^52, one kernel source templated on the
-// 52-bit limb count K = ceil((bits + 2) / 52) for K = 1..10 (moduli up to
-// 518 bits). With R = 2^(52K) > 4m it is an almost-Montgomery multiply: lane
-// values stay in [0, 2m) with no final subtraction, and from_lanes_raw
-// returns the canonical value. The lane code is compiled only on x86-64,
-// through a target attribute on the lane functions (no global -m flag), and
-// the constructor enables it once, when the CPU reports AVX-512F and IFMA
-// and K <= 10; lane_limbs() reads 0 otherwise.
+// Beside the scalar kernels sit 8-lane kernels for batches that share one
+// modulus: eight values in the 52-bit lanes of AVX-512 IFMA (Gueron &
+// Krasnov, ARITH 2016), radix 2^52, for K = ceil((bits + 2) / 52) limbs,
+// K = 1..10 (moduli up to 518 bits). With R = 2^(52K) > 4m they are
+// almost-Montgomery: lane values stay in [0, 2m) with no final
+// subtraction, and from_lanes_raw returns the canonical value. A lane
+// multiply is one serial chain per limb row (q from the low limb, q * m,
+// the carry), so a single group is bound by latency, not by IFMA
+// throughput. The kernels therefore come from one source templated on
+// (K, G) and run G = 1 or 2 independent groups of eight lanes in one
+// instruction stream, the groups' IFMAs issued side by side. A dedicated
+// square (Drucker & Gueron, ITNG 2019) computes the cross products once,
+// doubles them and adds the diagonal before its K reduction rows; it
+// returns the same words as the multiply of a value by itself.
+//
+// Two groups run only for K <= kMaxTwoGroupLimbs = 7, fixed in the kernel
+// table: there the two groups' operands and accumulators (about 5K zmm
+// values) stay in or near the 32 registers; beyond it the two-group
+// multiply spills so much that it costs more than the overlap gains.
+// Measured on a 4-core Xeon with AVX-512 IFMA (GCC 12.2, -O2, one thread):
+// BM_PohligHellmanEncryptBatch {256, 64} (K = 5) ran 2.1 -> 1.29 us per
+// element with two groups and the square, and {512, 128} (K = 10, one
+// group) 8.6-11.5 -> 8.9-9.3 us. Per element of ModExpEngine::pow_batch
+// over 64 random bases (medians of 5 runs), one group -> two groups and the
+// square: K = 6 2.92 -> 2.20 us, K = 7 4.26 -> 3.03 us; two groups without
+// the square against one group: K = 8 5.36 -> 5.79 us, K = 10 8.63 ->
+// 14.78 us. The square alone, in one group, reads 0.93-0.98x a multiply.
+//
+// The lane code is compiled only on x86-64, through a target attribute on
+// the lane functions (no global -m flag), and the constructor enables it
+// once, when the CPU reports AVX-512F and IFMA and K <= 10; lane_limbs()
+// and lane_groups() read 0 otherwise.
 #pragma once
 
 #include <cstdint>
@@ -93,22 +115,35 @@ class MontgomeryContext {
                 std::uint64_t* scratch) const;
 
   // --- 8-lane API (crypto::ModExpEngine batch path) -----------------------
-  // A lane buffer holds lane_limbs() * kLanes words: radix-2^52 limb j of
+  // A lane group holds lane_limbs() * kLanes words: radix-2^52 limb j of
   // lane l at [j * kLanes + l], each lane a Montgomery form for
-  // R = 2^(52 * lane_limbs()) in [0, 2m). None of these allocates.
+  // R = 2^(52 * lane_limbs()) in [0, 2m). A buffer of G groups holds
+  // G * lane_limbs() * kLanes words, group g at g * lane_limbs() * kLanes.
+  // None of these allocates.
   static constexpr std::size_t kLanes = 8;
   static constexpr std::size_t kMaxLaneLimbs = 10;
+  // The widest K that runs two groups per call; see the file comment.
+  static constexpr std::size_t kMaxTwoGroupLimbs = 7;
   // K when this context runs the lane kernel; 0 on a CPU without AVX-512
   // IFMA or for a modulus wider than 518 bits.
   std::size_t lane_limbs() const { return lane_limbs_; }
-  // Lane l <- v[l] * R mod m (v[l] reduced first) for l < count; the lanes
-  // from count on repeat v[0]. 1 <= count <= kLanes.
+  // The most groups one lane_mul_raw or lane_sqr_raw call runs: 2 for
+  // K <= kMaxTwoGroupLimbs, 1 above, 0 without lanes.
+  std::size_t lane_groups() const { return lane_groups_; }
+  // One group: lane l <- v[l] * R mod m (v[l] reduced first) for
+  // l < count; the lanes from count on repeat v[0]. 1 <= count <= kLanes.
   void to_lanes_raw(const BigUInt* v, std::size_t count,
                     std::uint64_t* out) const;
-  // out = a * b * R^-1 mod m in every lane. `out` may alias `a` or `b`.
+  // out = a * b * R^-1 mod m in every lane of `groups` groups,
+  // 1 <= groups <= lane_groups(). `out` may alias `a` or `b`.
   void lane_mul_raw(const std::uint64_t* a, const std::uint64_t* b,
-                    std::uint64_t* out) const;
-  // out[l] <- lane l * R^-1 mod m, canonical, for l < count.
+                    std::uint64_t* out, std::size_t groups) const;
+  // out = a^2 * R^-1 mod m, the same words lane_mul_raw(a, a, out, groups)
+  // writes; the product takes K(K+1)/2 limb multiplies instead of K^2.
+  // `out` may alias `a`.
+  void lane_sqr_raw(const std::uint64_t* a, std::uint64_t* out,
+                    std::size_t groups) const;
+  // One group: out[l] <- lane l * R^-1 mod m, canonical, for l < count.
   void from_lanes_raw(const std::uint64_t* v, std::size_t count,
                       BigUInt* out) const;
 
@@ -116,9 +151,8 @@ class MontgomeryContext {
   // Function pointers to the multiply, square and REDC kernels for one limb
   // count; defined in montgomery.cpp.
   struct Kernels;
-  using LaneMul = void (*)(const std::uint64_t* mod, std::uint64_t k0,
-                           const std::uint64_t* a, const std::uint64_t* b,
-                           std::uint64_t* out);
+  // The same for the lane multiply and square of one K, per group count.
+  struct LaneKernels;
 
   Limbs mont_mul(const Limbs& a, const Limbs& b) const;
 
@@ -130,9 +164,10 @@ class MontgomeryContext {
   Limbs one_mont_;             // R mod m (Montgomery one)
   Limbs mod_limbs_;
 
-  // Radix-2^52 constants of the lane kernel, set only when it runs.
-  LaneMul lane_mul_ = nullptr;
+  // Radix-2^52 constants of the lane kernels, set only when they run.
+  const LaneKernels* lane_kernels_ = nullptr;
   std::size_t lane_limbs_ = 0;
+  std::size_t lane_groups_ = 0;
   std::uint64_t lane_k0_ = 0;  // -m^-1 mod 2^52
   Limbs lane_mod_;             // m, K limbs of 52 bits
   Limbs lane_r2_;              // R^2 mod m, broadcast to every lane

@@ -37,6 +37,13 @@ constexpr std::size_t kMinChunkElements = 16;
 // Odd powers in the widest sliding window the constructor picks (5 bits).
 constexpr std::size_t kMaxTableEntries = 16;
 
+// Words in the widest lane value pow_lanes runs: one group of the widest
+// lane limb count, or two groups of the widest that runs two.
+constexpr std::size_t kMaxLaneWidth =
+    std::max(bn::MontgomeryContext::kMaxLaneLimbs,
+             2 * bn::MontgomeryContext::kMaxTwoGroupLimbs) *
+    bn::MontgomeryContext::kLanes;
+
 std::size_t auto_thread_count() {
   if (const char* env = std::getenv("DLA_MODEXP_THREADS")) {
     char* end = nullptr;
@@ -238,17 +245,27 @@ u64* ModExpEngine::replay(u64* ws, std::size_t width, const Mul& mul,
 void ModExpEngine::pow_lanes(bn::BigUInt* first, std::size_t count) const {
   using Ctx = bn::MontgomeryContext;
   const Ctx& ctx = *ctx_;
-  const std::size_t width = ctx.lane_limbs() * Ctx::kLanes;
-  std::array<u64, (kMaxTableEntries + 2) * Ctx::kMaxLaneLimbs * Ctx::kLanes>
-      ws{};
-  ctx.to_lanes_raw(first, count, ws.data());
-  u64* acc = replay(
-      ws.data(), width,
+  const std::size_t group_words = ctx.lane_limbs() * Ctx::kLanes;
+  const std::size_t groups = (count + Ctx::kLanes - 1) / Ctx::kLanes;
+  // Left uninitialised: replay writes each of the (table_entries_ + 2) *
+  // width words it uses before reading it.
+  std::array<u64, (kMaxTableEntries + 2) * kMaxLaneWidth> ws;
+  for (std::size_t g = 0; g < groups; ++g) {
+    const std::size_t begin = g * Ctx::kLanes;
+    ctx.to_lanes_raw(first + begin, std::min(count - begin, Ctx::kLanes),
+                     ws.data() + g * group_words);
+  }
+  const u64* acc = replay(
+      ws.data(), groups * group_words,
       [&](const u64* a, const u64* b, u64* out) {
-        ctx.lane_mul_raw(a, b, out);
+        ctx.lane_mul_raw(a, b, out, groups);
       },
-      [&](const u64* a, u64* out) { ctx.lane_mul_raw(a, a, out); });
-  ctx.from_lanes_raw(acc, count, first);
+      [&](const u64* a, u64* out) { ctx.lane_sqr_raw(a, out, groups); });
+  for (std::size_t g = 0; g < groups; ++g) {
+    const std::size_t begin = g * Ctx::kLanes;
+    ctx.from_lanes_raw(acc + g * group_words,
+                       std::min(count - begin, Ctx::kLanes), first + begin);
+  }
 }
 
 void ModExpEngine::pow_run(bn::BigUInt* first, std::size_t count) const {
@@ -263,13 +280,14 @@ void ModExpEngine::pow_run(bn::BigUInt* first, std::size_t count) const {
   }
   std::size_t done = 0;
   if (ctx.lane_limbs() != 0) {
-    // A short group is padded to eight lanes; a lone base is cheaper on
-    // the scalar kernel.
+    // As many groups of eight as the context runs at once, the last one
+    // padded: two groups while 9 or more bases remain, one for 2..8. A lone
+    // base is cheaper on the scalar kernel.
+    const std::size_t most = ctx.lane_groups() * bn::MontgomeryContext::kLanes;
     while (count - done >= 2) {
-      const std::size_t group =
-          std::min(count - done, bn::MontgomeryContext::kLanes);
-      pow_lanes(first + done, group);
-      done += group;
+      const std::size_t run = std::min(count - done, most);
+      pow_lanes(first + done, run);
+      done += run;
     }
   }
   if (done == count) return;

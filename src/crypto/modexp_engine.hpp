@@ -13,13 +13,16 @@
 //     runs — fewer multiplies than a fixed window);
 //   * per-base odd-power tables and all REDC temporaries live in one flat,
 //     reused workspace — the hot loop performs zero heap allocations;
-//   * where the context has the 8-lane AVX-512 IFMA kernel (see
-//     bignum/montgomery.hpp), pow_batch() runs each group of up to eight
-//     bases through the schedule in lock-step, the last group padded by
-//     repeating a base; a lone base, a modulus wider than 518 bits or a
-//     CPU without IFMA takes the scalar kernel, and so does pow(), the
-//     scalar reference. A modexp has one value mod m, so both give
-//     bit-identical results;
+//   * where the context has the 8-lane AVX-512 IFMA kernels (see
+//     bignum/montgomery.hpp), pow_batch() runs bases through the schedule
+//     in lock-step, as many groups of eight at once as the context runs:
+//     two groups (16 bases per replay) while 9 or more bases remain and the
+//     modulus is narrow enough (K <= 7 limbs of 52 bits, 362 bits), one
+//     group for 2..8, the last group padded by repeating a base. The
+//     squarings, about 80% of a modexp's steps, run the lane square. A
+//     lone base, a modulus wider than 518 bits or a CPU without IFMA takes
+//     the scalar kernel, and so does pow(), the scalar reference. A modexp
+//     has one value mod m, so every path gives bit-identical results;
 //   * pow_batch() fans independent elements across a small internal thread
 //     pool (sized by set_batch_threads / DLA_MODEXP_THREADS, default = the
 //     hardware concurrency capped at 8). Callers block until the batch is
@@ -95,10 +98,12 @@ class ModExpEngine {
   };
 
   // Exponentiates `count` bases starting at `first` (the per-thread unit of
-  // pow_batch): groups of up to kLanes bases in the lane kernel when the
-  // context has one, a lone base in the scalar kernel with one workspace.
+  // pow_batch): runs of up to lane_groups() * kLanes bases in the lane
+  // kernels when the context has them, a lone base in the scalar kernel
+  // with one workspace.
   void pow_run(bn::BigUInt* first, std::size_t count) const;
-  // Exponentiates 2..kLanes bases in the lanes of one lane buffer.
+  // Exponentiates 2..lane_groups() * kLanes bases in the lanes of one lane
+  // buffer of ceil(count / kLanes) groups.
   void pow_lanes(bn::BigUInt* first, std::size_t count) const;
   // Replays the schedule over values of `width` words through `mul`
   // (a, b, out) and `sqr` (a, out). ws holds table_entries_ + 2 values, the

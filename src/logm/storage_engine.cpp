@@ -566,28 +566,26 @@ void SegmentEngine::compact_run(std::size_t begin, std::size_t count) {
 // ---- read transactions -----------------------------------------------------
 
 SegmentEngine::ReadTxn::ReadTxn(ReadTxn&& other) noexcept
-    : engine_(other.engine_),
+    : tracker_(std::move(other.tracker_)),
       snapshot_(std::move(other.snapshot_)),
-      serial_(other.serial_) {
-  other.engine_ = nullptr;
-}
+      serial_(other.serial_) {}
 
 SegmentEngine::ReadTxn::~ReadTxn() {
-  if (engine_ == nullptr) return;
-  engine_->tracker_.close_txn(serial_);
-  storage_stats_mut().pinned_readers = engine_->tracker_.open_count();
+  if (tracker_ == nullptr) return;
+  tracker_->close_txn(serial_);
+  storage_stats_mut().pinned_readers = tracker_->open_count();
 }
 
 SegmentEngine::ReadTxn SegmentEngine::begin_read(std::uint64_t now_us) const {
-  const std::uint64_t serial = tracker_.open_txn(now_us);
-  storage_stats_mut().pinned_readers = tracker_.open_count();
-  return ReadTxn(this, segments_, serial);
+  const std::uint64_t serial = tracker_->open_txn(now_us);
+  storage_stats_mut().pinned_readers = tracker_->open_count();
+  return ReadTxn(tracker_, segments_, serial);
 }
 
 std::vector<ReadTxnTracker::StalledTxn> SegmentEngine::report_stalled_readers(
     std::uint64_t now_us, std::uint64_t min_age_us) const {
   std::vector<ReadTxnTracker::StalledTxn> out =
-      tracker_.stalled(now_us, min_age_us);
+      tracker_->stalled(now_us, min_age_us);
   storage_stats_mut().stalled_readers += out.size();
   return out;
 }

@@ -225,17 +225,21 @@ class SegmentEngine final : public StorageEngine {
 
    private:
     friend class SegmentEngine;
-    ReadTxn(const SegmentEngine* engine,
+    ReadTxn(std::shared_ptr<ReadTxnTracker> tracker,
             std::shared_ptr<const SegmentList> snapshot, std::uint64_t serial)
-        : engine_(engine), snapshot_(std::move(snapshot)), serial_(serial) {}
-    const SegmentEngine* engine_;
+        : tracker_(std::move(tracker)),
+          snapshot_(std::move(snapshot)),
+          serial_(serial) {}
+    // Shared with the engine, so the transaction closes into the same
+    // tracker after the engine is moved or destroyed.
+    std::shared_ptr<ReadTxnTracker> tracker_;
     std::shared_ptr<const SegmentList> snapshot_;
     std::uint64_t serial_ = 0;
   };
 
   // now_us is caller-fed (virtual time in tests) — see ReadTxnTracker.
   ReadTxn begin_read(std::uint64_t now_us = 0) const;
-  const ReadTxnTracker& txn_tracker() const { return tracker_; }
+  const ReadTxnTracker& txn_tracker() const { return *tracker_; }
   // Reports (and counts) read transactions open for >= min_age_us.
   std::vector<ReadTxnTracker::StalledTxn> report_stalled_readers(
       std::uint64_t now_us, std::uint64_t min_age_us) const;
@@ -305,7 +309,9 @@ class SegmentEngine final : public StorageEngine {
   std::size_t file_sync_calls_ = 0;
   std::size_t dir_sync_calls_ = 0;
   std::map<CrashPoint, std::function<void()>> crash_hooks_;
-  mutable ReadTxnTracker tracker_;
+  // Shared with every open ReadTxn; a move hands it to the new engine.
+  std::shared_ptr<ReadTxnTracker> tracker_ =
+      std::make_shared<ReadTxnTracker>();
 };
 
 }  // namespace dla::logm

@@ -893,32 +893,52 @@ TEST_F(IntegrityFixture, RawDepositFrameChangesNoDeposit) {
 }
 
 // An upload replayed after its record was deleted restores nothing: not the
-// fragment, not the ticket's ACL entry, not the deposit.
+// fragment, not the ticket's ACL entry, not the deposit. The same holds when
+// 4096 other records were deleted in between, which would push the tombstone
+// out of a bounded journal of the last 4096 ids.
 TEST_F(IntegrityFixture, ReplayedUploadAfterDeleteRestoresNothing) {
   cluster.user(0).configure(
       cluster.config(),
       cluster.issue_ticket("TDEL", "u0",
                            {logm::Op::Read, logm::Op::Write, logm::Op::Delete},
                            /*auditor=*/true));
-  const CapturedWrite write = log_one_capturing(cluster, 1);
-  ASSERT_NE(write.glsn, 0u);
-  std::optional<bool> deleted;
-  cluster.user(0).delete_record(cluster.sim(), write.glsn,
-                                [&](bool ok) { deleted = ok; });
-  cluster.run();
-  ASSERT_EQ(deleted, std::optional<bool>(true));
+  auto delete_all = [&](const std::vector<logm::Glsn>& targets) {
+    std::size_t deleted = 0;
+    for (const logm::Glsn glsn : targets) {
+      cluster.user(0).delete_record(cluster.sim(), glsn,
+                                    [&](bool ok) { deleted += ok ? 1 : 0; });
+    }
+    cluster.run();
+    return deleted;
+  };
+  for (const std::size_t later_deletes : {std::size_t{0}, std::size_t{4096}}) {
+    SCOPED_TRACE("later deletes " + std::to_string(later_deletes));
+    const CapturedWrite write = log_one_capturing(cluster, 1);
+    ASSERT_NE(write.glsn, 0u);
+    ASSERT_EQ(delete_all({write.glsn}), 1u);
 
-  DlaNode& node = cluster.dla(1);
-  const logm::AccessControlTable acl = node.acl();
-  const std::uint64_t drops = node.replay_drops();
-  cluster.sim().send(write.upload.src, write.upload.dst, kLogFragment,
-                     write.upload.payload);
-  cluster.run();
-  EXPECT_FALSE(node.storage().contains(write.glsn));
-  EXPECT_FALSE(node.acl().allowed("TDEL", logm::Op::Read, write.glsn));
-  EXPECT_TRUE(node.acl() == acl);
-  EXPECT_FALSE(node.deposits().contains(write.glsn));
-  EXPECT_GT(node.replay_drops(), drops);
+    std::vector<logm::Glsn> later;
+    for (std::size_t i = 0; i < later_deletes; ++i) {
+      cluster.user(0).log_record(
+          cluster.sim(), logm::paper_table1_records()[i % 5].attrs,
+          [&](std::optional<logm::Glsn> glsn) { later.push_back(*glsn); });
+    }
+    cluster.run();
+    ASSERT_EQ(later.size(), later_deletes);
+    ASSERT_EQ(delete_all(later), later_deletes);
+
+    DlaNode& node = cluster.dla(1);
+    const logm::AccessControlTable acl = node.acl();
+    const std::uint64_t drops = node.replay_drops();
+    cluster.sim().send(write.upload.src, write.upload.dst, kLogFragment,
+                       write.upload.payload);
+    cluster.run();
+    EXPECT_FALSE(node.storage().contains(write.glsn));
+    EXPECT_FALSE(node.acl().allowed("TDEL", logm::Op::Read, write.glsn));
+    EXPECT_TRUE(node.acl() == acl);
+    EXPECT_FALSE(node.deposits().contains(write.glsn));
+    EXPECT_GT(node.replay_drops(), drops);
+  }
 }
 
 TEST_F(IntegrityFixture, AclInconsistencyDetected) {

@@ -204,6 +204,20 @@ TEST_F(EngineFixture, ReadTxnPinsSegmentsAcrossCompaction) {
   }
 }
 
+// A transaction opened before its engine moves closes into the tracker the
+// new engine reports, even after the moved-from engine is freed.
+TEST_F(EngineFixture, ReadTxnOutlivesMovedFromEngine) {
+  auto source = std::make_unique<SegmentEngine>(dir.string());
+  source->put(frag(1, 1, "U1"));
+  auto txn = std::make_unique<SegmentEngine::ReadTxn>(source->begin_read());
+  SegmentEngine moved(std::move(*source));
+  source.reset();
+  EXPECT_EQ(moved.txn_tracker().open_count(), 1u);
+  txn.reset();
+  EXPECT_EQ(moved.txn_tracker().open_count(), 0u);
+  EXPECT_TRUE(moved.contains(1));
+}
+
 TEST_F(EngineFixture, StalledReaderTrackerReportsLongTxns) {
   reset_storage_stats();
   SegmentEngine eng(dir.string());

@@ -167,6 +167,7 @@ void rule_banned_tokens(const SourceFile& f, Report* out) {
       {"mont_one", "crypto-boundary", nullptr, "raw Montgomery kernel"},
       {"to_lanes_raw", "crypto-boundary", nullptr, "raw 8-lane IFMA kernel"},
       {"lane_mul_raw", "crypto-boundary", nullptr, "raw 8-lane IFMA kernel"},
+      {"lane_sqr_raw", "crypto-boundary", nullptr, "raw 8-lane IFMA kernel"},
       {"from_lanes_raw", "crypto-boundary", nullptr, "raw 8-lane IFMA kernel"},
       {"modpow", "crypto-boundary", nullptr,
        "raw modular exponentiation outside the crypto layer"},

@@ -7,6 +7,7 @@ unsigned long raw_math(unsigned long b, unsigned long e, unsigned long n,
   bn::MontgomeryContext ctx(n);  // EXPECT(crypto-boundary)
   ctx.mont_mul_raw(acc, acc, acc, scratch);  // EXPECT(crypto-boundary)
   ctx.mont_sqr_raw(acc, acc, scratch);  // EXPECT(crypto-boundary)
-  ctx.lane_mul_raw(acc, acc, acc);  // EXPECT(crypto-boundary)
+  ctx.lane_mul_raw(acc, acc, acc, 2);  // EXPECT(crypto-boundary)
+  ctx.lane_sqr_raw(acc, acc, 2);  // EXPECT(crypto-boundary)
   return modpow(b, e, n);  // EXPECT(crypto-boundary)
 }

@@ -8,7 +8,8 @@ unsigned long crypto_ok(unsigned long x, unsigned long e, unsigned long n,
                         unsigned long* acc, unsigned long* scratch) {
   bn::MontgomeryContext ctx(n);
   ctx.mont_sqr_raw(acc, acc, scratch);
-  ctx.lane_mul_raw(acc, acc, acc);
+  ctx.lane_mul_raw(acc, acc, acc, 2);
+  ctx.lane_sqr_raw(acc, acc, 2);
   std::unordered_set<unsigned long> seen;
   seen.insert(x);
   return modpow(x, e, n) + seen.size();
