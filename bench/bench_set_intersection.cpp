@@ -147,14 +147,29 @@ void BM_PlaintextIntersection(benchmark::State& state) {
   state.counters["set_size"] = static_cast<double>(size);
 }
 
+// The 512-bit safe prime PhDomain::generate draws from ChaCha20Rng(5).
+// Written out because generating it takes ~20 s, which every 512-bit row
+// and the `ctest -L bench` smoke runs would pay before any timing.
+crypto::PhDomain ph_domain_512() {
+  return crypto::PhDomain{bn::BigUInt::from_hex(
+      "ff08276bbadea3a80c6a1200338a0d5b2d8eb2dd6586cb4252c135c300efc72f"
+      "dce8f0396b79e09e97e797bd11c70dc9d5a649c5b323341bce7fd52eaaa6785b")};
+}
+
+// The domain of a `bits`-wide row: the written-out 256- and 512-bit primes,
+// any other width generated from `rng`.
+crypto::PhDomain ph_domain(std::size_t bits, crypto::ChaCha20Rng& rng) {
+  if (bits == 256) return crypto::PhDomain::fixed256();
+  if (bits == 512) return ph_domain_512();
+  return crypto::PhDomain::generate(rng, bits);
+}
+
 // Raw commutative-encryption throughput across prime widths: the knob that
 // scales the whole protocol.
 void BM_PohligHellmanEncrypt(benchmark::State& state) {
   const std::size_t bits = static_cast<std::size_t>(state.range(0));
   crypto::ChaCha20Rng rng(5);
-  crypto::PhDomain domain =
-      bits == 256 ? crypto::PhDomain::fixed256()
-                  : crypto::PhDomain::generate(rng, bits);
+  crypto::PhDomain domain = ph_domain(bits, rng);
   crypto::PhKey key = crypto::PhKey::generate(domain, rng);
   bn::BigUInt m = crypto::encode_element(domain, "element");
   for (auto _ : state) {
@@ -172,9 +187,7 @@ void BM_PohligHellmanEncryptBatch(benchmark::State& state) {
   const std::size_t bits = static_cast<std::size_t>(state.range(0));
   const std::size_t count = static_cast<std::size_t>(state.range(1));
   crypto::ChaCha20Rng rng(5);
-  crypto::PhDomain domain =
-      bits == 256 ? crypto::PhDomain::fixed256()
-                  : crypto::PhDomain::generate(rng, bits);
+  crypto::PhDomain domain = ph_domain(bits, rng);
   crypto::PhKey key = crypto::PhKey::generate(domain, rng);
   std::vector<bn::BigUInt> base(count);
   for (std::size_t i = 0; i < count; ++i) {
@@ -237,15 +250,6 @@ void lane_step(benchmark::State& state) {
 
 void BM_LaneMul(benchmark::State& state) { lane_step<false>(state); }
 void BM_LaneSqr(benchmark::State& state) { lane_step<true>(state); }
-
-// The 512-bit safe prime PhDomain::generate draws from ChaCha20Rng(5), the
-// domain BM_PohligHellmanEncrypt/512 builds. Written out because generating
-// it takes ~20 s, too long for the smoke run below.
-crypto::PhDomain ph_domain_512() {
-  return crypto::PhDomain{bn::BigUInt::from_hex(
-      "ff08276bbadea3a80c6a1200338a0d5b2d8eb2dd6586cb4252c135c300efc72f"
-      "dce8f0396b79e09e97e797bd11c70dc9d5a649c5b323341bce7fd52eaaa6785b")};
-}
 
 // The modular inverses the query path pays. range(0) = 0, 1: d = e^-1 mod
 // p - 1 for a fresh odd session exponent e over the 256-bit (fixed256) and

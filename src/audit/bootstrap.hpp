@@ -5,9 +5,10 @@
 // ClusterConfig — node ids, attribute partition, threshold key material,
 // tickets — without exchanging a single coordination message. Everything
 // here is therefore a pure function of the bootstrap options (schema,
-// dla_count, user_count, seed, certify_reports), replicating exactly the
-// wiring Cluster performs inside one simulator process. In particular the
-// canonical id assignment matches Simulator::add_node order in Cluster:
+// dla_count, user_count, seed, certify_reports). Cluster builds its shared
+// state with it too, so one simulator process and a daemon fleet agree by
+// construction. In particular the canonical id assignment matches
+// Simulator::add_node order in Cluster:
 //
 //   DLA node P_i  ->  NodeId i
 //   blind TTP     ->  NodeId dla_count
@@ -66,9 +67,9 @@ struct Bootstrap {
 // host.
 Bootstrap make_bootstrap(const BootstrapOptions& options);
 
-// Actor factories, mirroring Cluster's construction exactly (names, seeds,
-// chunk size, signing shares, tickets). The caller registers the returned
-// actor with its transport under the canonical id above.
+// Actor factories (names, seeds, chunk size, signing shares, tickets), which
+// Cluster uses as well. The caller registers the returned actor with its
+// transport under the canonical id above.
 std::unique_ptr<DlaNode> make_dla_node(const Bootstrap& boot,
                                        const BootstrapOptions& options,
                                        std::size_t index);

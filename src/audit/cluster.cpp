@@ -28,39 +28,24 @@ std::unique_ptr<net::Simulator> make_transport(Cluster::TransportKind kind) {
 }  // namespace
 
 Cluster::Cluster(Options options)
-    : sim_(make_transport(options.transport)),
-      ticket_service_(ClusterConfig{}.ticket_key) {
-  auto cfg = std::make_shared<ClusterConfig>();
-  cfg->schema = options.schema;
-  cfg->partition = options.partition.has_value()
-                       ? *options.partition
-                       : logm::AttributePartition::round_robin(
-                             options.schema, options.dla_count);
+    : sim_(make_transport(options.transport)) {
+  const BootstrapOptions boot_options{
+      options.schema,         options.dla_count,      options.user_count,
+      options.seed,           options.auditor_users,  options.certify_reports,
+      options.set_chunk_size};
+  boot_ = make_bootstrap(boot_options);
+  // The shared state is a daemon fleet's; on top of it go what a daemon does
+  // not take: an explicit partition, replication and heartbeats.
+  auto cfg = std::make_shared<ClusterConfig>(*boot_.config);
+  if (options.partition) cfg->partition = *options.partition;
   cfg->replication = std::max<std::size_t>(1, options.replication);
   cfg->heartbeat_interval = options.heartbeat_interval;
+  boot_.config = std::move(cfg);
 
-  // Actors are created, registered (assigning node ids), then configured.
+  // Actors join the simulator in canonical order, so each gets the id
+  // make_bootstrap assigned it.
   for (std::size_t i = 0; i < options.dla_count; ++i) {
-    dla_nodes_.push_back(std::make_unique<DlaNode>(
-        "P" + std::to_string(i), options.seed * 1000 + i));
-    cfg->dla_nodes.push_back(sim_->add_node(*dla_nodes_.back()));
-  }
-  ttp_ = std::make_unique<TtpNode>("TTP");
-  cfg->ttp = sim_->add_node(*ttp_);
-
-  std::vector<crypto::SignerShare> shares;
-  if (options.certify_reports) {
-    crypto::ChaCha20Rng dealer_rng(options.seed ^ 0x5163);
-    auto dealing = crypto::deal_threshold_key(dealer_rng, cfg->majority(),
-                                              options.dla_count);
-    cfg->threshold_params = dealing.params;
-    cfg->sign_threshold_k = static_cast<std::uint32_t>(cfg->majority());
-    shares = std::move(dealing.shares);
-  }
-
-  ConfigPtr shared = cfg;
-  cfg_ = shared;
-  for (std::size_t i = 0; i < options.dla_count; ++i) {
+    dla_nodes_.push_back(make_dla_node(boot_, boot_options, i));
     if (!options.storage_dir.empty()) {
       const std::string base =
           options.storage_dir + "/node" + std::to_string(i);
@@ -70,23 +55,16 @@ Cluster::Cluster(Options options)
           std::make_unique<logm::SegmentEngine>(base + "/replica",
                                                 options.storage));
     }
-    dla_nodes_[i]->configure(shared, i);
-    dla_nodes_[i]->set_chunk_size(options.set_chunk_size);
-    if (!shares.empty()) dla_nodes_[i]->set_signing_share(shares[i]);
-    if (options.heartbeat_interval > 0) {
-      dla_nodes_[i]->start_heartbeats(*sim_);
-    }
+    sim_->add_node(*dla_nodes_[i]);
   }
-  ttp_->configure(shared);
-
-  for (std::size_t i = 0; i < options.user_count; ++i) {
-    auto user = std::make_unique<UserNode>("u" + std::to_string(i));
-    sim_->add_node(*user);
-    Ticket ticket = ticket_service_.issue(
-        "T" + std::to_string(i + 1), user->name(),
-        {logm::Op::Read, logm::Op::Write}, options.auditor_users);
-    user->configure(shared, std::move(ticket));
-    user_nodes_.push_back(std::move(user));
+  ttp_ = make_ttp_node(boot_);
+  sim_->add_node(*ttp_);
+  for (std::size_t j = 0; j < options.user_count; ++j) {
+    user_nodes_.push_back(make_user_node(boot_, boot_options, j));
+    sim_->add_node(*user_nodes_[j]);
+  }
+  if (options.heartbeat_interval > 0) {
+    for (auto& node : dla_nodes_) node->start_heartbeats(*sim_);
   }
 }
 
@@ -94,8 +72,8 @@ Ticket Cluster::issue_ticket(const std::string& ticket_id,
                              const std::string& principal,
                              std::set<logm::Op> ops, bool auditor,
                              std::uint64_t expires_at) const {
-  return ticket_service_.issue(ticket_id, principal, std::move(ops), auditor,
-                               expires_at);
+  return boot_.tickets.issue(ticket_id, principal, std::move(ops), auditor,
+                             expires_at);
 }
 
 }  // namespace dla::audit

@@ -8,10 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "audit/config.hpp"
-#include "audit/dla_node.hpp"
-#include "audit/ttp_node.hpp"
-#include "audit/user_node.hpp"
+#include "audit/bootstrap.hpp"
 #include "net/sim.hpp"
 
 namespace dla::audit {
@@ -60,14 +57,14 @@ class Cluster {
   explicit Cluster(Options options);
 
   net::Simulator& sim() { return *sim_; }
-  const ConfigPtr& config() const { return cfg_; }
+  const ConfigPtr& config() const { return boot_.config; }
   std::size_t dla_count() const { return dla_nodes_.size(); }
   std::size_t user_count() const { return user_nodes_.size(); }
 
   DlaNode& dla(std::size_t i) { return *dla_nodes_.at(i); }
   TtpNode& ttp() { return *ttp_; }
   UserNode& user(std::size_t i) { return *user_nodes_.at(i); }
-  const TicketService& tickets() const { return ticket_service_; }
+  const TicketService& tickets() const { return boot_.tickets; }
 
   // Issues an extra ticket signed with the cluster key (e.g. an expired or
   // wrong-scope ticket for negative tests).
@@ -80,8 +77,7 @@ class Cluster {
 
  private:
   std::unique_ptr<net::Simulator> sim_;
-  ConfigPtr cfg_;
-  TicketService ticket_service_;
+  Bootstrap boot_;
   std::vector<std::unique_ptr<DlaNode>> dla_nodes_;
   std::unique_ptr<TtpNode> ttp_;
   std::vector<std::unique_ptr<UserNode>> user_nodes_;

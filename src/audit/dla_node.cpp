@@ -59,6 +59,24 @@ bool in_ph_group(const crypto::PhDomain& domain,
                      });
 }
 
+// `elements` as a ring stream of chunks of `size`, the last one ragged.
+// Always at least one chunk: an empty set is one empty chunk, and a set no
+// larger than `size`, or any set when `size` is 0, is one whole chunk.
+std::vector<std::vector<bn::BigUInt>> split_chunks(
+    std::vector<bn::BigUInt> elements, std::size_t size) {
+  std::vector<std::vector<bn::BigUInt>> chunks;
+  std::size_t begin = 0;
+  do {
+    const std::size_t end = size == 0
+                                ? elements.size()
+                                : std::min(begin + size, elements.size());
+    chunks.emplace_back(std::make_move_iterator(elements.begin() + begin),
+                        std::make_move_iterator(elements.begin() + end));
+    begin = end;
+  } while (begin < elements.size());
+  return chunks;
+}
+
 }  // namespace
 
 DlaNode::DlaNode(std::string name, std::uint64_t seed)
@@ -555,6 +573,74 @@ crypto::PhKey& DlaNode::session_key(SessionId session) {
   return it->second;
 }
 
+std::vector<bn::BigUInt> DlaNode::ChunkStream::take() {
+  std::vector<bn::BigUInt> out;
+  for (auto& [seq, chunk] : chunks) {
+    (void)seq;
+    out.insert(out.end(), std::make_move_iterator(chunk.begin()),
+               std::make_move_iterator(chunk.end()));
+  }
+  return out;
+}
+
+std::vector<bn::BigUInt>* DlaNode::accept_chunk(ChunkStream& stream,
+                                                const SetChunkHeader& header) {
+  if (stream.complete()) {
+    ++replay_drops_;  // the whole stream already arrived
+    return nullptr;
+  }
+  if (stream.n_chunks == 0) {
+    stream.n_chunks = header.n_chunks;
+  } else if (stream.n_chunks != header.n_chunks) {
+    ++set_ring_rejects_;  // frames disagree on the stream's length
+    return nullptr;
+  }
+  auto [slot, fresh] = stream.chunks.try_emplace(header.chunk_seq);
+  if (!fresh) {
+    ++replay_drops_;
+    return nullptr;
+  }
+  return &slot->second;
+}
+
+std::optional<DlaNode::RingFrame> DlaNode::read_ring_frame(
+    const net::Message& msg) {
+  net::Reader r(msg.payload);
+  RingFrame frame;
+  frame.spec = SetSpec::decode(r);
+  frame.header = SetChunkHeader::decode(r);
+  if (msg.type != kSetFull) frame.hops = r.u32();
+  frame.elements = decode_elements(r);
+  r.expect_end();
+  // `origin` keys the collector's streams and `hops` indexes participants
+  // on forward, so a corrupted or cross-ring-replayed frame dies here, not
+  // out of bounds downstream. An element outside [1, p-1] would make the
+  // PhKey throw: it is refused before a ring hop mints its session key and
+  // before a decrypt hop files the chunk.
+  const std::size_t n = frame.spec.participants.size();
+  const std::uint32_t ring_id =
+      msg.type == kSetDecrypt ? kRingDecrypt : kRingEncrypt;
+  if (frame.header.ring_id != ring_id || frame.header.origin >= n ||
+      frame.hops >= n || frame.header.chunk_seq >= frame.header.n_chunks ||
+      !in_ph_group(cfg_->ph_domain, frame.elements)) {
+    ++set_ring_rejects_;
+    return std::nullopt;
+  }
+  return frame;
+}
+
+void DlaNode::send_ring_frame(net::Transport& sim, std::uint32_t type,
+                              net::NodeId dst, const SetSpec& spec,
+                              const SetChunkHeader& header, std::uint32_t hops,
+                              const std::vector<bn::BigUInt>& elements) {
+  net::Writer w;
+  spec.encode(w);
+  header.encode(w);
+  if (type != kSetFull) w.u32(hops);
+  encode_elements(w, elements);
+  send_payload(sim, id(), dst, type, std::move(w));
+}
+
 void DlaNode::stage_set_input(SessionId session,
                               std::vector<bn::BigUInt> elements) {
   sort_unique(elements);
@@ -601,135 +687,74 @@ void DlaNode::join_ring(net::Transport& sim, const SetSpec& spec,
     ++replay_drops_;
     return;
   }
-  std::size_t my_pos = spec.participants.size();
-  for (std::size_t i = 0; i < spec.participants.size(); ++i) {
-    if (spec.participants[i] == id()) my_pos = i;
-  }
-  if (my_pos == spec.participants.size()) {
+  const std::optional<std::uint32_t> my_pos =
+      position_of(spec.participants, id());
+  if (!my_pos) {
     // A start naming this node as ring member without listing it in
     // participants is malformed: drop it rather than joining at a fabricated
-    // position 0 (which would double-encrypt someone else's slot).
+    // position (which would double-encrypt someone else's slot).
     ++set_ring_rejects_;
     return;
   }
-  ring_start_stream(sim, spec, static_cast<std::uint32_t>(my_pos),
-                    std::move(elements));
-}
-
-std::uint32_t DlaNode::chunk_count(std::size_t n) const {
-  if (set_chunk_size_ == 0 || n <= set_chunk_size_) return 1;
-  return static_cast<std::uint32_t>((n + set_chunk_size_ - 1) /
-                                    set_chunk_size_);
-}
-
-void DlaNode::ring_start_stream(net::Transport& sim, const SetSpec& spec,
-                                std::uint32_t my_pos,
-                                std::vector<bn::BigUInt> elements) {
   // Chunking happens once, at the origin; every later hop re-encrypts and
   // forwards chunks exactly as framed here, so mixed chunk-size settings
   // across the ring interoperate. An empty input still circulates one empty
   // chunk — the stream is what lets every hop learn of the session and the
   // collector count this origin as landed.
-  const std::uint32_t n_chunks = chunk_count(elements.size());
-  const std::size_t stride =
-      n_chunks == 1 ? elements.size() : set_chunk_size_;
+  std::vector<std::vector<bn::BigUInt>> chunks =
+      split_chunks(std::move(elements), set_chunk_size_);
+  const auto n_chunks = static_cast<std::uint32_t>(chunks.size());
   for (std::uint32_t seq = 0; seq < n_chunks; ++seq) {
-    const std::size_t begin = seq * stride;
-    const std::size_t end =
-        seq + 1 == n_chunks ? elements.size() : begin + stride;
-    std::vector<bn::BigUInt> chunk(
-        std::make_move_iterator(elements.begin() + begin),
-        std::make_move_iterator(elements.begin() + end));
-    SetChunkHeader header{my_pos, kRingEncrypt, seq, n_chunks};
-    ring_encrypt_and_forward(sim, spec, header, 0, std::move(chunk));
+    ring_encrypt_and_forward(sim, spec, *my_pos,
+                             SetChunkHeader{*my_pos, kRingEncrypt, seq,
+                                            n_chunks},
+                             0, std::move(chunks[seq]));
   }
 }
 
 void DlaNode::ring_encrypt_and_forward(net::Transport& sim,
                                        const SetSpec& spec,
-                                       SetChunkHeader header,
+                                       std::uint32_t my_pos,
+                                       const SetChunkHeader& header,
                                        std::uint32_t hops,
                                        std::vector<bn::BigUInt> elements) {
-  // Position check BEFORE any crypto: a node absent from participants must
-  // not encrypt (and thus alter) a circulating set it has no slot in.
-  std::size_t my_pos = spec.participants.size();
-  for (std::size_t i = 0; i < spec.participants.size(); ++i) {
-    if (spec.participants[i] == id()) my_pos = i;
-  }
-  if (my_pos == spec.participants.size()) {
-    ++set_ring_rejects_;
+  session_key(spec.session).encrypt_batch(elements);
+  ++hops;
+  if (hops == spec.participants.size()) {
+    send_ring_frame(sim, kSetFull, spec.collector, spec, header, 0, elements);
     return;
   }
-  // Header validation against the accompanying spec: `origin` indexes
-  // full_sets at the collector and `hops` indexes participants on forward,
-  // so a corrupted or cross-ring-replayed frame must die here, not index
-  // out of bounds downstream.
-  if (header.ring_id != kRingEncrypt ||
-      header.origin >= spec.participants.size() ||
-      hops >= spec.participants.size() || header.n_chunks == 0 ||
-      header.chunk_seq >= header.n_chunks) {
+  send_ring_frame(sim, kSetRing,
+                  spec.participants[(my_pos + 1) % spec.participants.size()],
+                  spec, header, hops, elements);
+}
+
+void DlaNode::handle_set_ring(net::Transport& sim, const net::Message& msg) {
+  std::optional<RingFrame> frame = read_ring_frame(msg);
+  if (!frame) return;
+  // Position check BEFORE any crypto: a node absent from participants must
+  // not encrypt (and thus alter) a circulating set it has no slot in.
+  const std::optional<std::uint32_t> my_pos =
+      position_of(frame->spec.participants, id());
+  if (!my_pos) {
     ++set_ring_rejects_;
     return;
   }
   // A replayed ring hop after the decrypt pass must not regenerate the
   // (erased) session key — that would leave key/input residue behind and
   // emit ciphertexts nobody can strip.
-  if (set_spent_guard_.contains(spec.session)) {
+  if (set_spent_guard_.contains(frame->spec.session)) {
     ++replay_drops_;
     return;
   }
-  crypto::PhKey& key = session_key(spec.session);
-  key.encrypt_batch(elements);
-  ++hops;
-  if (hops == spec.participants.size()) {
-    net::Writer w;
-    spec.encode(w);
-    header.encode(w);
-    encode_elements(w, elements);
-    send_payload(sim, id(), spec.collector, kSetFull, std::move(w));
-    return;
-  }
-  net::NodeId next = spec.participants[(my_pos + 1) % spec.participants.size()];
-  net::Writer w;
-  spec.encode(w);
-  header.encode(w);
-  w.u32(hops);
-  encode_elements(w, elements);
-  send_payload(sim, id(), next, kSetRing, std::move(w));
-}
-
-void DlaNode::handle_set_ring(net::Transport& sim, const net::Message& msg) {
-  net::Reader r(msg.payload);
-  SetSpec spec = SetSpec::decode(r);
-  SetChunkHeader header = SetChunkHeader::decode(r);
-  std::uint32_t hops = r.u32();
-  std::vector<bn::BigUInt> elements = decode_elements(r);
-  r.expect_end();
-  // Refused before ring_encrypt_and_forward mints a session key for it.
-  if (!in_ph_group(cfg_->ph_domain, elements)) {
-    ++set_ring_rejects_;
-    return;
-  }
-  ring_encrypt_and_forward(sim, spec, header, hops, std::move(elements));
+  ring_encrypt_and_forward(sim, frame->spec, *my_pos, frame->header,
+                           frame->hops, std::move(frame->elements));
 }
 
 void DlaNode::handle_set_full(net::Transport& sim, const net::Message& msg) {
-  net::Reader r(msg.payload);
-  SetSpec spec = SetSpec::decode(r);
-  SetChunkHeader header = SetChunkHeader::decode(r);
-  std::vector<bn::BigUInt> elements = decode_elements(r);
-  r.expect_end();
-  // Validate before touching set_collect_: `origin` keys full_sets, so an
-  // out-of-range origin would count toward the participants-landed total
-  // and leave residue for a session that can never complete; an element
-  // outside the group would reach every participant's decrypt_batch.
-  if (header.ring_id != kRingEncrypt ||
-      header.origin >= spec.participants.size() || header.n_chunks == 0 ||
-      header.chunk_seq >= header.n_chunks ||
-      !in_ph_group(cfg_->ph_domain, elements)) {
-    ++set_ring_rejects_;
-    return;
-  }
+  std::optional<RingFrame> frame = read_ring_frame(msg);
+  if (!frame) return;
+  const SetSpec& spec = frame->spec;
   // A duplicate kSetFull arriving after the combine would recreate the
   // collect entry (session residue) and, worse, kick off a second decrypt
   // ring against already-spent keys.
@@ -737,42 +762,27 @@ void DlaNode::handle_set_full(net::Transport& sim, const net::Message& msg) {
     ++replay_drops_;
     return;
   }
-  SetCollect& collect = set_collect_[spec.session];
-  if (collect.full_sets.contains(header.origin)) {
-    ++replay_drops_;  // whole stream already graduated
+  std::map<std::uint32_t, ChunkStream>& streams = set_collect_[spec.session];
+  ChunkStream& stream = streams[frame->header.origin];
+  std::vector<bn::BigUInt>* slot = accept_chunk(stream, frame->header);
+  if (slot == nullptr) return;
+  *slot = std::move(frame->elements);
+  if (!stream.complete() || streams.size() < spec.participants.size() ||
+      !std::all_of(streams.begin(), streams.end(),
+                   [](const auto& s) { return s.second.complete(); })) {
     return;
   }
-  SetCollect::Partial& partial = collect.partials[header.origin];
-  if (partial.n_chunks == 0) {
-    partial.n_chunks = header.n_chunks;
-  } else if (partial.n_chunks != header.n_chunks) {
-    ++set_ring_rejects_;  // frames disagree on stream length
-    return;
-  }
-  if (partial.chunks.contains(header.chunk_seq)) {
-    ++replay_drops_;
-    return;
-  }
-  partial.chunks[header.chunk_seq] = std::move(elements);
-  if (partial.chunks.size() < partial.n_chunks) return;
 
-  // Stream complete for this origin: graduate to full_sets in seq order.
-  std::vector<bn::BigUInt>& full = collect.full_sets[header.origin];
-  for (auto& [seq, chunk] : partial.chunks) {
-    (void)seq;
-    full.insert(full.end(), std::make_move_iterator(chunk.begin()),
-                std::make_move_iterator(chunk.end()));
-  }
-  collect.partials.erase(header.origin);
-  if (collect.full_sets.size() < spec.participants.size()) return;
-
-  // All fully-encrypted sets present: combine under the chosen operation.
+  // Every origin's fully-encrypted set is here: combine them, in ascending
+  // origin order, under the chosen operation.
   std::vector<bn::BigUInt> combined;
   bool first = true;
-  for (auto& [idx, set] : collect.full_sets) {
+  for (auto& [origin, origin_stream] : streams) {
+    (void)origin;
+    std::vector<bn::BigUInt> set = origin_stream.take();
     sort_unique(set);
     if (first) {
-      combined = set;
+      combined = std::move(set);
       first = false;
       continue;
     }
@@ -789,44 +799,21 @@ void DlaNode::handle_set_full(net::Transport& sim, const net::Message& msg) {
   // what lets every participant retire its session key and staged input.
   // The pass is chunked like the encrypt ring so a wide combined set
   // pipelines across hops instead of serializing per hop.
-  const std::uint32_t n_chunks = chunk_count(combined.size());
-  const std::size_t stride =
-      n_chunks == 1 ? combined.size() : set_chunk_size_;
+  std::vector<std::vector<bn::BigUInt>> chunks =
+      split_chunks(std::move(combined), set_chunk_size_);
+  const auto n_chunks = static_cast<std::uint32_t>(chunks.size());
   for (std::uint32_t seq = 0; seq < n_chunks; ++seq) {
-    const std::size_t begin = seq * stride;
-    const std::size_t end =
-        seq + 1 == n_chunks ? combined.size() : begin + stride;
-    std::vector<bn::BigUInt> chunk(
-        std::make_move_iterator(combined.begin() + begin),
-        std::make_move_iterator(combined.begin() + end));
-    net::Writer w;
-    spec.encode(w);
-    SetChunkHeader{0, kRingDecrypt, seq, n_chunks}.encode(w);
-    w.u32(0);  // hops
-    encode_elements(w, chunk);
-    send_payload(sim, id(), spec.participants[0], kSetDecrypt, std::move(w));
+    send_ring_frame(sim, kSetDecrypt, spec.participants[0], spec,
+                    SetChunkHeader{0, kRingDecrypt, seq, n_chunks}, 0,
+                    chunks[seq]);
   }
 }
 
 void DlaNode::handle_set_decrypt(net::Transport& sim,
                                  const net::Message& msg) {
-  net::Reader r(msg.payload);
-  SetSpec spec = SetSpec::decode(r);
-  SetChunkHeader header = SetChunkHeader::decode(r);
-  std::uint32_t hops = r.u32();
-  std::vector<bn::BigUInt> elements = decode_elements(r);
-  r.expect_end();
-  // `hops` indexes participants on forward, so it must be validated BEFORE
-  // the increment below — a corrupted value at or past participants.size()
-  // previously indexed out of bounds here. The elements are checked before
-  // the chunk is marked seen, so decrypt_batch cannot throw after it.
-  if (header.ring_id != kRingDecrypt || header.n_chunks == 0 ||
-      header.chunk_seq >= header.n_chunks ||
-      hops >= spec.participants.size() ||
-      !in_ph_group(cfg_->ph_domain, elements)) {
-    ++set_ring_rejects_;
-    return;
-  }
+  std::optional<RingFrame> frame = read_ring_frame(msg);
+  if (!frame) return;
+  const SetSpec& spec = frame->spec;
   // Look the key up instead of lazily creating it: on a duplicate decrypt
   // pass the key was already spent, and session_key() would mint a fresh
   // random key that corrupts the ciphertexts (and lingers forever).
@@ -835,48 +822,32 @@ void DlaNode::handle_set_decrypt(net::Transport& sim,
     ++replay_drops_;
     return;
   }
-  DecryptProgress& prog = decrypt_progress_[spec.session];
-  if (prog.n_chunks == 0) {
-    prog.n_chunks = header.n_chunks;
-  } else if (prog.n_chunks != header.n_chunks) {
-    ++set_ring_rejects_;  // frames disagree on stream length
-    return;
-  }
   // A duplicated chunk must not be decrypted twice — stripping the same
-  // layer twice corrupts the ciphertext for every downstream hop.
-  if (!prog.seen.insert(header.chunk_seq).second) {
-    ++replay_drops_;
-    return;
-  }
-  kit->second.decrypt_batch(elements);
-  const std::uint32_t next_hops = hops + 1;
-  const bool terminal = next_hops == spec.participants.size();
+  // layer twice corrupts the ciphertext for every downstream hop. A hop
+  // files an empty chunk to mark its seq; the terminal hop files the
+  // plaintext, held until the stream completes.
+  ChunkStream& stream = decrypt_streams_[spec.session];
+  std::vector<bn::BigUInt>* slot = accept_chunk(stream, frame->header);
+  if (slot == nullptr) return;
+  kit->second.decrypt_batch(frame->elements);
+  const std::uint32_t hops = frame->hops + 1;
+  const bool terminal = hops == spec.participants.size();
   if (terminal) {
-    prog.chunks[header.chunk_seq] = std::move(elements);
+    *slot = std::move(frame->elements);
   } else {
-    net::Writer w;
-    spec.encode(w);
-    header.encode(w);
-    w.u32(next_hops);
-    encode_elements(w, elements);
-    send_payload(sim, id(), spec.participants[next_hops], kSetDecrypt,
-                 std::move(w));
+    send_ring_frame(sim, kSetDecrypt, spec.participants[hops], spec,
+                    frame->header, hops, frame->elements);
   }
-  if (prog.seen.size() < prog.n_chunks) return;
+  if (!stream.complete()) return;
 
   // Whole stream decrypted at this hop: the session key is spent.
   session_keys_.erase(kit);
   set_inputs_.erase(spec.session);
   set_spent_guard_.insert(spec.session);
   if (terminal) {
-    // Concatenate in seq order and deliver one monolithic result so
-    // observers see bit-identical payloads regardless of chunk size.
-    std::vector<bn::BigUInt> result;
-    for (auto& [seq, chunk] : prog.chunks) {
-      (void)seq;
-      result.insert(result.end(), std::make_move_iterator(chunk.begin()),
-                    std::make_move_iterator(chunk.end()));
-    }
+    // One result in seq order, so observers see bit-identical payloads
+    // regardless of chunk size.
+    const std::vector<bn::BigUInt> result = stream.take();
     for (net::NodeId obs : spec.observers) {
       net::Writer w;
       w.u64(spec.session);
@@ -884,7 +855,7 @@ void DlaNode::handle_set_decrypt(net::Transport& sim,
       send_payload(sim, id(), obs, kSetResult, std::move(w));
     }
   }
-  decrypt_progress_.erase(spec.session);
+  decrypt_streams_.erase(spec.session);
 }
 
 void DlaNode::handle_set_result(net::Transport& sim, const net::Message& msg) {
@@ -971,6 +942,14 @@ void DlaNode::handle_sum_start(net::Transport& sim, const net::Message& msg) {
   net::Reader r(msg.payload);
   SumSpec spec = SumSpec::decode(r);
   r.expect_end();
+  // A node the spec does not list has no share to deal: a misrouted start
+  // is refused before any state exists.
+  const std::optional<std::uint32_t> my_pos =
+      position_of(spec.participants, id());
+  if (!my_pos) {
+    ++detail::wire_reject_counters_mut().codec_rejects;
+    return;
+  }
   if (sum_done_guard_.contains(spec.session)) {
     ++replay_drops_;
     return;
@@ -988,16 +967,12 @@ void DlaNode::handle_sum_start(net::Transport& sim, const net::Message& msg) {
   for (std::size_t j = 0; j < spec.participants.size(); ++j) {
     xs.emplace_back(static_cast<std::uint64_t>(j + 1));
   }
-  std::size_t my_index = 0;
-  for (std::size_t i = 0; i < spec.participants.size(); ++i) {
-    if (spec.participants[i] == id()) my_index = i;
-  }
   auto shares = field.split(secret % cfg_->shamir_prime, spec.threshold_k, xs,
                             rng_);
   for (std::size_t j = 0; j < spec.participants.size(); ++j) {
     net::Writer w;
     w.u64(spec.session);
-    w.u32(static_cast<std::uint32_t>(my_index));
+    w.u32(*my_pos);
     w.big(shares[j].y);
     send_payload(sim, id(), spec.participants[j], kSumShare, std::move(w));
   }
@@ -1032,8 +1007,11 @@ void DlaNode::handle_sum_share(net::Transport& sim, const net::Message& msg) {
 void DlaNode::maybe_emit_sum_eval(net::Transport& sim, SessionId session) {
   SumState& state = sum_state_[session];
   // Shares can outrun the kSumStart carrying the spec under asymmetric
-  // latencies; both arrival paths funnel through this check.
-  if (state.spec.participants.empty() || state.evaluated) return;
+  // latencies; both arrival paths funnel through this check. Until the spec
+  // lands it lists nobody, and a node it does not list never evaluates.
+  const std::optional<std::uint32_t> my_pos =
+      position_of(state.spec.participants, id());
+  if (!my_pos || state.evaluated) return;
   detail::wire_reject_counters_mut().codec_rejects +=
       std::erase_if(state.shares_received, [&](const auto& share) {
         return !from_participant(state.spec.participants, share.first.first,
@@ -1051,13 +1029,9 @@ void DlaNode::maybe_emit_sum_eval(net::Transport& sim, SessionId session) {
     }
     f = field.add(f, term);
   }
-  std::size_t my_index = 0;
-  for (std::size_t i = 0; i < state.spec.participants.size(); ++i) {
-    if (state.spec.participants[i] == id()) my_index = i;
-  }
   net::Writer w;
   state.spec.encode(w);
-  w.big(bn::BigUInt(static_cast<std::uint64_t>(my_index + 1)));
+  w.big(bn::BigUInt(std::uint64_t{*my_pos} + 1));
   w.big(f);
   send_payload(sim, id(), state.spec.collector, kSumEval, std::move(w));
 }
@@ -1142,17 +1116,20 @@ void DlaNode::handle_cmp_params(net::Transport& sim, const net::Message& msg) {
   net::Reader r(msg.payload);
   CmpSpec spec = CmpSpec::decode(r, /*include_transform=*/true);
   r.expect_end();
-  // send_transformed_value consumes the staged input, so a duplicate
-  // kCmpParams would ship w(0) to the TTP and corrupt the comparison.
+  // A node the spec does not list has no value to send: a misrouted
+  // kCmpParams is refused before its guard is spent.
+  const std::optional<std::uint32_t> my_pos =
+      position_of(spec.participants, id());
+  if (!my_pos) {
+    ++detail::wire_reject_counters_mut().codec_rejects;
+    return;
+  }
+  // The value consumes the staged input, so a duplicate kCmpParams would
+  // ship w(0) to the TTP and corrupt the comparison.
   if (cmp_sent_guard_.check_and_mark(spec.session)) {
     ++replay_drops_;
     return;
   }
-  send_transformed_value(sim, spec);
-}
-
-void DlaNode::send_transformed_value(net::Transport& sim,
-                                     const CmpSpec& spec) {
   bn::BigUInt y;
   if (auto it = cmp_inputs_.find(spec.session); it != cmp_inputs_.end()) {
     y = it->second;
@@ -1164,13 +1141,9 @@ void DlaNode::send_transformed_value(net::Transport& sim,
   } else {
     w_value = spec.a * y + spec.b;  // no wrap: order preserved
   }
-  std::size_t my_index = 0;
-  for (std::size_t i = 0; i < spec.participants.size(); ++i) {
-    if (spec.participants[i] == id()) my_index = i;
-  }
   net::Writer w;
   w.u64(spec.session);
-  w.u32(static_cast<std::uint32_t>(my_index));
+  w.u32(*my_pos);
   w.big(w_value);
   send_payload(sim, id(), spec.ttp, kCmpValue, std::move(w));
   cmp_inputs_.erase(spec.session);
@@ -1179,7 +1152,7 @@ void DlaNode::send_transformed_value(net::Transport& sim,
 void DlaNode::handle_cmp_result(net::Transport&, const net::Message& msg) {
   net::Reader r(msg.payload);
   SessionId session = r.u64();
-  auto op = static_cast<CmpOpKind>(r.u8());
+  const CmpOpKind op = enum_byte(r.u8(), CmpOpKind::Rank);
   std::uint32_t outcome = r.u32();
   r.expect_end();
   if (cmp_result_guard_.check_and_mark(session)) {
@@ -1629,7 +1602,7 @@ void DlaNode::handle_aggregate_query(net::Transport& sim,
   const std::uint64_t user_reqid = r.u64();
   Ticket ticket = Ticket::decode(r);
   std::string criterion = r.str();
-  auto op = static_cast<AggOp>(r.u8());
+  const AggOp op = enum_byte(r.u8(), AggOp::Avg);
   std::string attr = r.str();
   r.expect_end();
   if (query_is_duplicate(sim, msg.src, user_reqid)) return;
@@ -1671,7 +1644,7 @@ void DlaNode::handle_aggregate_exec(net::Transport& sim,
   // return only the aggregate — raw values never leave this node.
   net::Reader r(msg.payload);
   std::uint64_t qid = r.u64();
-  auto op = static_cast<AggOp>(r.u8());
+  const AggOp op = enum_byte(r.u8(), AggOp::Avg);
   std::string attr = r.str();
   auto glsns = r.vec<logm::Glsn>([](net::Reader& in) { return in.u64(); });
   r.expect_end();
@@ -1836,7 +1809,7 @@ void DlaNode::handle_join_exec(net::Transport& sim, const net::Message& msg) {
   std::uint64_t rid = r.u64();
   std::uint8_t side = r.u8();
   std::string lhs_attr = r.str();
-  auto op = static_cast<CmpOp>(r.u8());
+  const CmpOp op = enum_byte(r.u8(), CmpOp::Ne);
   std::string rhs_attr = r.str();
   bool hash_mode = r.u8() != 0;
   bn::BigUInt a = r.big();
@@ -1912,7 +1885,7 @@ void DlaNode::handle_combine_exec(net::Transport& sim,
   if (r.boolean()) {
     ring = SetSpec::decode(r);
   } else {
-    reply = decode_task_reply(r);
+    reply = enum_byte(r.u8(), TaskReply::Set);
   }
   r.expect_end();
   // Parsed before the rid is marked or any input consumed: a frame whose

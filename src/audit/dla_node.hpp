@@ -53,6 +53,9 @@ class DlaNode : public net::Node {
   void set_signing_share(crypto::SignerShare share) {
     signing_share_ = std::move(share);
   }
+  const std::optional<crypto::SignerShare>& signing_share() const {
+    return signing_share_;
+  }
 
   const std::string& name() const { return name_; }
   std::size_t index() const { return index_; }
@@ -131,7 +134,7 @@ class DlaNode : public net::Node {
             {"session_keys", session_keys_.size()},
             {"set_inputs", set_inputs_.size()},
             {"set_collect", set_collect_.size()},
-            {"decrypt_progress", decrypt_progress_.size()},
+            {"decrypt_streams", decrypt_streams_.size()},
             {"sum_state", sum_state_.size()},
             {"sum_inputs", sum_inputs_.size()},
             {"cmp_inputs", cmp_inputs_.size()},
@@ -249,27 +252,61 @@ class DlaNode : public net::Node {
   void dispatch(net::Transport& sim, const net::Message& msg);
 
   // ---- set ring ----
+  // Figure 4's two passes are chunk streams (SetChunkHeader). The encrypt
+  // pass carries one stream per origin, which the collector reassembles;
+  // the decrypt pass carries one stream of the combined set, which each hop
+  // tracks so it strips its key from every chunk once. Both passes share
+  // split_chunks, read_ring_frame and accept_chunk.
+  struct ChunkStream {
+    std::uint32_t n_chunks = 0;  // declared by the first chunk to arrive
+    std::map<std::uint32_t, std::vector<bn::BigUInt>> chunks;  // by seq
+    bool complete() const {
+      return n_chunks != 0 && chunks.size() == n_chunks;
+    }
+    // The chunks' elements concatenated in seq order.
+    std::vector<bn::BigUInt> take();
+  };
+  // A kSetRing, kSetFull or kSetDecrypt frame (kSetFull carries no hops).
+  struct RingFrame {
+    SetSpec spec;
+    SetChunkHeader header;
+    std::uint32_t hops = 0;
+    std::vector<bn::BigUInt> elements;
+  };
   void handle_set_start(net::Transport& sim, const net::Message& msg);
   void handle_set_ring(net::Transport& sim, const net::Message& msg);
   void handle_set_full(net::Transport& sim, const net::Message& msg);
   void handle_set_decrypt(net::Transport& sim, const net::Message& msg);
   void handle_set_result(net::Transport& sim, const net::Message& msg);
+  // Decodes a received ring frame and checks it against its spec before any
+  // state is touched: the ring id matches the message type, origin and hops
+  // index inside the participants, the seq lies inside its stream, and
+  // every element lies in [1, p-1]. A malformed frame counts one
+  // set_ring_rejects and yields nullopt.
+  std::optional<RingFrame> read_ring_frame(const net::Message& msg);
+  void send_ring_frame(net::Transport& sim, std::uint32_t type,
+                       net::NodeId dst, const SetSpec& spec,
+                       const SetChunkHeader& header, std::uint32_t hops,
+                       const std::vector<bn::BigUInt>& elements);
+  // Admits chunk `header` to `stream` and returns the empty slot its
+  // elements go in, or null, counted, when the chunk is refused. The rules,
+  // in order: a chunk of a complete stream is a replay; a chunk that
+  // disagrees on the stream's length is a reject; a seq already held is a
+  // replay.
+  std::vector<bn::BigUInt>* accept_chunk(ChunkStream& stream,
+                                         const SetChunkHeader& header);
   crypto::PhKey& session_key(SessionId session);
   // Joins the ring of `spec` with `elements` as this node's input, once per
   // session and only at a listed position (kSetStart and ring combines).
   void join_ring(net::Transport& sim, const SetSpec& spec,
                  std::vector<bn::BigUInt> elements);
+  // Encrypts one chunk under this node's session key and passes it to the
+  // next position, or to the collector after the last hop.
   void ring_encrypt_and_forward(net::Transport& sim, const SetSpec& spec,
-                                SetChunkHeader header, std::uint32_t hops,
+                                std::uint32_t my_pos,
+                                const SetChunkHeader& header,
+                                std::uint32_t hops,
                                 std::vector<bn::BigUInt> elements);
-  // Splits `elements` into the session's chunk stream and runs each chunk
-  // through ring_encrypt_and_forward (origin side of the encrypt ring).
-  void ring_start_stream(net::Transport& sim, const SetSpec& spec,
-                         std::uint32_t my_pos,
-                         std::vector<bn::BigUInt> elements);
-  // Number of chunks `n` elements split into under this node's chunk size
-  // (always >= 1: an empty set still circulates one empty chunk).
-  std::uint32_t chunk_count(std::size_t n) const;
 
   // ---- secure sum ----
   void handle_sum_start(net::Transport& sim, const net::Message& msg);
@@ -282,7 +319,6 @@ class DlaNode : public net::Node {
   void handle_cmp_params(net::Transport& sim, const net::Message& msg);
   void handle_cmp_result(net::Transport& sim, const net::Message& msg);
   void handle_rank_result(net::Transport& sim, const net::Message& msg);
-  void send_transformed_value(net::Transport& sim, const CmpSpec& spec);
 
   // ---- secure scalar product ----
   void handle_scalar_randomness(net::Transport& sim, const net::Message& msg);
@@ -481,29 +517,12 @@ class DlaNode : public net::Node {
   // protocol state.
   std::map<SessionId, crypto::PhKey> session_keys_;
   std::map<SessionId, std::vector<bn::BigUInt>> set_inputs_;
-  // Collector-side reassembly: chunks land out of order and per origin;
-  // an origin graduates from `partials` to `full_sets` when its declared
-  // chunk count is complete, and the combine fires only when every origin
-  // has landed in full.
-  struct SetCollect {
-    struct Partial {
-      std::uint32_t n_chunks = 0;  // declared stream length
-      std::map<std::uint32_t, std::vector<bn::BigUInt>> chunks;  // by seq
-    };
-    std::map<std::uint32_t, std::vector<bn::BigUInt>> full_sets;
-    std::map<std::uint32_t, Partial> partials;
-  };
-  std::map<SessionId, SetCollect> set_collect_;
-  // Decrypt-pass progress at each hop: which chunk_seqs this node already
-  // decrypted (a duplicated chunk must not be double-decrypted), and — at
-  // the terminal hop only — the decrypted chunks held until the stream
-  // completes. The session key retires when every chunk was seen.
-  struct DecryptProgress {
-    std::uint32_t n_chunks = 0;
-    std::set<std::uint32_t> seen;
-    std::map<std::uint32_t, std::vector<bn::BigUInt>> chunks;  // terminal hop
-  };
-  std::map<SessionId, DecryptProgress> decrypt_progress_;
+  // Collector: each session's encrypt-pass streams by origin. The combine
+  // fires once every participant's stream is complete.
+  std::map<SessionId, std::map<std::uint32_t, ChunkStream>> set_collect_;
+  // Each hop's decrypt-pass stream; the session key retires when it is
+  // complete.
+  std::map<SessionId, ChunkStream> decrypt_streams_;
   std::size_t set_chunk_size_ = 64;
   std::uint64_t set_ring_rejects_ = 0;
   std::uint64_t replay_drops_ = 0;

@@ -225,7 +225,7 @@ void TtpNode::handle_cmp_batch(net::Transport& sim, const net::Message& msg) {
   }
   std::uint8_t side = r.u8();
   if (side > 1) throw net::CodecError("kCmpBatch side out of range");
-  auto op = static_cast<CmpOp>(r.u8());
+  const CmpOp op = enum_byte(r.u8(), CmpOp::Ne);
   net::NodeId result_owner = r.u32();
   net::NodeId gateway = r.u32();
   auto entries = r.vec<CmpBatchEntry>([](net::Reader& in) {

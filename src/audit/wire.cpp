@@ -1,5 +1,7 @@
 #include "audit/wire.hpp"
 
+#include <algorithm>
+
 #include "crypto/sha256.hpp"
 
 namespace dla::audit {
@@ -25,6 +27,13 @@ bool from_participant(const std::vector<net::NodeId>& participants,
   return index < participants.size() && participants[index] == sender;
 }
 
+std::optional<std::uint32_t> position_of(
+    const std::vector<net::NodeId>& participants, net::NodeId node) {
+  const auto it = std::find(participants.begin(), participants.end(), node);
+  if (it == participants.end()) return std::nullopt;
+  return static_cast<std::uint32_t>(it - participants.begin());
+}
+
 void SetSpec::encode(net::Writer& w) const {
   w.u64(session);
   w.u8(static_cast<std::uint8_t>(op));
@@ -37,8 +46,8 @@ void SetSpec::encode(net::Writer& w) const {
 SetSpec SetSpec::decode(net::Reader& r) {
   SetSpec s;
   s.session = r.u64();
-  s.op = static_cast<SetOp>(r.u8());
-  s.purpose = static_cast<SetPurpose>(r.u8());
+  s.op = enum_byte(r.u8(), SetOp::Union);
+  s.purpose = enum_byte(r.u8(), SetPurpose::AclEntries);
   s.participants = decode_node_ids(r);
   s.collector = r.u32();
   s.observers = decode_node_ids(r);
@@ -104,7 +113,7 @@ void CmpSpec::encode(net::Writer& w, bool include_transform) const {
 CmpSpec CmpSpec::decode(net::Reader& r, bool include_transform) {
   CmpSpec s;
   s.session = r.u64();
-  s.op = static_cast<CmpOpKind>(r.u8());
+  s.op = enum_byte(r.u8(), CmpOpKind::Rank);
   s.participants = decode_node_ids(r);
   s.ttp = r.u32();
   s.observers = decode_node_ids(r);
@@ -140,14 +149,6 @@ std::string_view to_string(AggOp op) {
     case AggOp::Avg: return "AVG";
   }
   return "?";
-}
-
-TaskReply decode_task_reply(net::Reader& r) {
-  const std::uint8_t reply = r.u8();
-  if (reply > static_cast<std::uint8_t>(TaskReply::Set)) {
-    throw net::CodecError("unknown query task reply mode");
-  }
-  return static_cast<TaskReply>(reply);
 }
 
 namespace {

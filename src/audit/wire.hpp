@@ -223,11 +223,8 @@ std::string_view to_string(AggOp op);
 // How an owner answers a query task (the `reply` byte of a ring-less
 // kCombineExec): keep the set for a later combine and report its size
 // (kSubqueryDone), report only the size (secret counting, [7]), or send the
-// set itself as the query's final result (kSubqueryData). Any other byte is
-// a codec reject.
+// set itself as the query's final result (kSubqueryData).
 enum class TaskReply : std::uint8_t { Stage = 0, Count = 1, Set = 2 };
-
-TaskReply decode_task_reply(net::Reader& r);
 
 // --------------------------------------------------------- glsn elements --
 // Set elements that embed a recoverable glsn: (glsn+1) << 160 | T, where the
@@ -253,9 +250,24 @@ std::vector<bn::BigUInt> decode_elements(net::Reader& r);
 void encode_node_ids(net::Writer& w, const std::vector<net::NodeId>& ids);
 std::vector<net::NodeId> decode_node_ids(net::Reader& r);
 
+// The enumerator a decoded byte names, `last` being the enum's highest
+// value. A byte past it raises net::CodecError (a codec reject), so an
+// unknown op or mode never runs as some other one.
+template <typename Enum>
+Enum enum_byte(std::uint8_t byte, Enum last) {
+  if (byte > static_cast<std::uint8_t>(last)) {
+    throw net::CodecError("enum byte out of range");
+  }
+  return static_cast<Enum>(byte);
+}
+
 // Whether `sender` is participants[index]: a per-index protocol value
 // (kCmpValue, kSumShare) counts only from the participant at its index.
 bool from_participant(const std::vector<net::NodeId>& participants,
                       std::uint32_t index, net::NodeId sender);
+// The position of `node` in `participants` (its first listing), or nullopt
+// when the spec does not list it: such a node takes no part in the session.
+std::optional<std::uint32_t> position_of(
+    const std::vector<net::NodeId>& participants, net::NodeId node);
 
 }  // namespace dla::audit

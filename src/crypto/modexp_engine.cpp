@@ -26,7 +26,6 @@ using u64 = std::uint64_t;
 std::atomic<std::uint64_t> g_modexp_count{0};
 std::atomic<std::uint64_t> g_modexp_batch_count{0};
 std::atomic<std::size_t> g_thread_override{0};  // 0 = auto
-std::atomic<bool> g_batching_enabled{true};
 
 // Elements below which a batch is not worth fanning out: a chunk must
 // amortize the enqueue/wake handshake over enough exponentiations (about
@@ -177,14 +176,6 @@ std::size_t ModExpEngine::batch_threads() {
   return auto_count;
 }
 
-void ModExpEngine::set_batching_enabled(bool enabled) {
-  g_batching_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool ModExpEngine::batching_enabled() {
-  return g_batching_enabled.load(std::memory_order_relaxed);
-}
-
 ModExpEngine::ModExpEngine(std::shared_ptr<const bn::MontgomeryContext> ctx,
                            bn::BigUInt exponent)
     : ctx_(std::move(ctx)), exponent_(std::move(exponent)) {
@@ -319,10 +310,6 @@ bn::BigUInt ModExpEngine::pow(const bn::BigUInt& base) const {
 void ModExpEngine::pow_batch(std::span<bn::BigUInt> bases) const {
   if (bases.empty()) return;
   g_modexp_count.fetch_add(bases.size(), std::memory_order_relaxed);
-  if (!batching_enabled()) {
-    pow_run(bases.data(), bases.size());
-    return;
-  }
   g_modexp_batch_count.fetch_add(1, std::memory_order_relaxed);
   WorkerPool::instance().parallel_for(
       bases.size(), batch_threads(),

@@ -73,21 +73,16 @@ class ModExpEngine {
   bn::BigUInt pow(const bn::BigUInt& base) const;
 
   // In-place batch: bases[i] <- bases[i] ^ exponent mod m. Splits across
-  // the internal pool when the batch is large enough and batching is
-  // enabled; otherwise runs element-wise on the calling thread. Either way
-  // the results are identical.
+  // the internal pool when the batch is large enough and more than one
+  // thread is allowed; otherwise runs on the calling thread. Either way the
+  // results are identical.
   void pow_batch(std::span<bn::BigUInt> bases) const;
 
-  // --- batching knobs (process-wide) -------------------------------------
+  // --- batching knob (process-wide) --------------------------------------
   // Worker threads for pow_batch. 0 = auto (hardware concurrency, capped
   // at 8; overridable via the DLA_MODEXP_THREADS environment variable).
   static void set_batch_threads(std::size_t n);
   static std::size_t batch_threads();
-  // Differential-testing switch: with batching disabled pow_batch degrades
-  // to a serial element-wise loop (and does not count towards
-  // modexp_batch_count).
-  static void set_batching_enabled(bool enabled);
-  static bool batching_enabled();
 
  private:
   // One sliding-window step: square `squarings` times, then multiply by

@@ -11,6 +11,7 @@
 //     the hostile frames.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <set>
@@ -515,6 +516,227 @@ TEST(CodecTruncation, UnparseableCombineExpressionChangesNothing) {
   EXPECT_EQ(answers, std::vector<std::uint32_t>{kSubqueryData});
   cluster.sim().set_deliver_hook(nullptr);
   reset_wire_reject_counters();
+}
+
+// ---- enum bytes outside their enum ---------------------------------------
+// Every enum byte is range-checked where it is decoded: a byte past the
+// enum's last value is a codec reject, never run as some other op or mode.
+
+TEST(CodecTruncation, SpecEnumBytesOutsideTheirEnumAreRejected) {
+  auto set_wire = [](std::uint8_t op, std::uint8_t purpose) {
+    SetSpec spec;
+    spec.participants = {0, 1};
+    spec.op = static_cast<SetOp>(op);
+    spec.purpose = static_cast<SetPurpose>(purpose);
+    net::Writer w;
+    spec.encode(w);
+    return std::move(w).take();
+  };
+  auto decode_set = [](const net::Bytes& wire) {
+    net::Reader r(wire);
+    return SetSpec::decode(r);
+  };
+  EXPECT_NO_THROW(decode_set(set_wire(1, 1)));
+  EXPECT_THROW(decode_set(set_wire(2, 0)), net::CodecError);  // op
+  EXPECT_THROW(decode_set(set_wire(0, 2)), net::CodecError);  // retired purpose
+
+  for (bool transform : {true, false}) {
+    auto cmp_wire = [&](std::uint8_t op) {
+      CmpSpec spec;
+      spec.participants = {0, 1};
+      spec.op = static_cast<CmpOpKind>(op);
+      net::Writer w;
+      spec.encode(w, transform);
+      return std::move(w).take();
+    };
+    auto decode_cmp = [&](const net::Bytes& wire) {
+      net::Reader r(wire);
+      return CmpSpec::decode(r, transform);
+    };
+    EXPECT_NO_THROW(decode_cmp(cmp_wire(3)));
+    EXPECT_THROW(decode_cmp(cmp_wire(4)), net::CodecError);
+  }
+}
+
+// A cluster holding the paper's Table 1 records, with every delivered
+// message type counted per destination.
+struct EnumBytes : ::testing::Test {
+  EnumBytes()
+      : cluster(Cluster::Options{logm::paper_schema(), 4, 1,
+                                 logm::paper_partition(), /*seed=*/42,
+                                 /*auditor_users=*/true}) {
+    for (const auto& rec : logm::paper_table1_records()) {
+      cluster.user(0).log_record(cluster.sim(), rec.attrs,
+                                 [](std::optional<logm::Glsn>) {});
+    }
+    cluster.run();
+    cluster.sim().set_deliver_hook([this](const net::Message& m) {
+      delivered.push_back(m);
+    });
+  }
+  ~EnumBytes() override {
+    cluster.sim().set_deliver_hook(nullptr);
+    reset_wire_reject_counters();
+  }
+
+  // Sends one frame, drains the simulator, and returns the codec rejects
+  // it caused; `delivered` then holds every message that followed it.
+  std::uint64_t send(net::NodeId src, net::NodeId dst, MsgType type,
+                     net::Bytes payload) {
+    reset_wire_reject_counters();
+    cluster.sim().send(src, dst, type, std::move(payload));
+    delivered.clear();
+    cluster.run();
+    return wire_reject_counters().codec_rejects;
+  }
+  std::size_t count(MsgType type) const {
+    return static_cast<std::size_t>(
+        std::count_if(delivered.begin(), delivered.end(),
+                      [&](const net::Message& m) { return m.type == type; }));
+  }
+  net::NodeId node(std::size_t i) const {
+    return cluster.config()->dla_nodes[i];
+  }
+
+  Cluster cluster;
+  std::vector<net::Message> delivered;
+};
+
+// An aggregate whose op byte is 9 is not answered, and its request id stays
+// fresh: the same id with op 1 (SUM) is answered over all five records.
+TEST_F(EnumBytes, AggregateQueryWithUnknownOpIsNotAnswered) {
+  auto query = [&](std::uint8_t op) {
+    net::Writer w;
+    w.u64(900);  // reqid
+    cluster.user(0).ticket().encode(w);
+    w.str("Time > 0");
+    w.u8(op);
+    w.str("C2");
+    return std::move(w).take();
+  };
+  const net::NodeId user = cluster.user(0).id();
+  EXPECT_EQ(send(user, node(0), kAggregateQuery, query(9)), 1u);
+  EXPECT_EQ(count(kAggregateResult), 0u);
+  EXPECT_EQ(send(user, node(0), kAggregateQuery, query(1)), 0u);
+  ASSERT_EQ(count(kAggregateResult), 1u);
+  for (const net::Message& m : delivered) {
+    if (m.type != kAggregateResult) continue;
+    net::Reader r(m.payload);
+    EXPECT_EQ(r.u64(), 900u);
+    EXPECT_TRUE(r.boolean());  // ok
+    r.str();                   // error
+    r.f64();                   // value
+    EXPECT_EQ(r.u64(), 5u);    // count
+    r.expect_end();
+  }
+  EXPECT_EQ(cluster.dla(0).replay_drops(), 0u);
+}
+
+// A kSetStart with op 7 and the retired purpose 2 starts no ring.
+TEST_F(EnumBytes, SetStartWithUnknownOpAndPurposeStartsNoRing) {
+  SetSpec spec;
+  spec.session = 51;
+  spec.op = static_cast<SetOp>(7);
+  spec.purpose = static_cast<SetPurpose>(2);
+  spec.participants = {node(0), node(1)};
+  spec.collector = node(0);
+  spec.observers = {node(0)};
+  bool got_result = false;
+  cluster.dla(0).on_set_result = [&](SessionId, std::vector<bn::BigUInt>) {
+    got_result = true;
+  };
+  for (net::NodeId p : spec.participants) {
+    net::Writer w;
+    spec.encode(w);
+    EXPECT_EQ(send(node(0), p, kSetStart, std::move(w).take()), 1u);
+    EXPECT_EQ(count(kSetRing) + count(kSetFull), 0u);
+  }
+  EXPECT_FALSE(got_result);
+  EXPECT_EQ(cluster.dla(0).session_residue(), 0u);
+  EXPECT_EQ(cluster.dla(1).session_residue(), 0u);
+}
+
+// kCmpResult's op byte is checked before the session's result guard, so
+// the genuine result still arrives.
+TEST_F(EnumBytes, CmpResultWithUnknownOpSpendsNoGuard) {
+  std::vector<CmpOpKind> ops;
+  cluster.dla(0).on_cmp_result = [&](SessionId, CmpOpKind op, std::uint32_t) {
+    ops.push_back(op);
+  };
+  auto result = [](std::uint8_t op) {
+    net::Writer w;
+    w.u64(61);  // session
+    w.u8(op);
+    w.u32(1);  // outcome
+    return std::move(w).take();
+  };
+  const net::NodeId ttp = cluster.config()->ttp;
+  EXPECT_EQ(send(ttp, node(0), kCmpResult, result(4)), 1u);
+  EXPECT_TRUE(ops.empty());
+  EXPECT_EQ(send(ttp, node(0), kCmpResult, result(1)), 0u);
+  EXPECT_EQ(ops, std::vector<CmpOpKind>{CmpOpKind::Max});
+}
+
+// kJoinExec's predicate op byte is checked before the rid is spent: no
+// batch reaches the TTP until a frame with a known op arrives.
+TEST_F(EnumBytes, JoinExecWithUnknownCmpOpSendsNoBatch) {
+  auto join = [&](std::uint8_t op) {
+    net::Writer w;
+    w.u64(1);   // qid
+    w.u64(71);  // rid
+    w.u8(0);    // side
+    w.str("C1");
+    w.u8(op);
+    w.str("C2");
+    w.u8(0);  // order-preserving transform
+    w.big(bn::BigUInt(3));
+    w.big(bn::BigUInt(5));
+    w.u32(node(0));  // result owner
+    return std::move(w).take();
+  };
+  EXPECT_EQ(send(node(1), node(0), kJoinExec, join(6)), 1u);
+  EXPECT_EQ(count(kCmpBatch), 0u);
+  EXPECT_EQ(send(node(1), node(0), kJoinExec, join(0)), 0u);
+  EXPECT_EQ(count(kCmpBatch), 1u);
+  EXPECT_EQ(cluster.dla(0).replay_drops(), 0u);
+}
+
+// The TTP refuses a kCmpBatch whose op byte is past CmpOp::Ne before it
+// holds any batch state.
+TEST_F(EnumBytes, CmpBatchWithUnknownCmpOpLeavesNoBatch) {
+  net::Writer w;
+  w.u64(81);  // rid
+  w.u64(1);   // qid
+  w.u8(0);    // side
+  w.u8(6);    // op
+  w.u32(node(0));  // result owner
+  w.u32(node(1));  // gateway
+  w.vec(std::vector<CmpBatchEntry>{},
+        [](net::Writer& out, const CmpBatchEntry& e) {
+          out.u64(e.glsn);
+          out.big(e.w);
+        });
+  EXPECT_EQ(send(node(0), cluster.config()->ttp, kCmpBatch,
+                 std::move(w).take()),
+            1u);
+  EXPECT_EQ(cluster.ttp().session_residue(), 0u);
+}
+
+// An owner answers no kAggregateExec whose op byte is past AggOp::Avg.
+TEST_F(EnumBytes, AggregateExecWithUnknownOpIsNotAnswered) {
+  auto exec = [&](std::uint8_t op) {
+    net::Writer w;
+    w.u64(1);  // qid
+    w.u8(op);
+    w.str("C2");
+    w.vec(std::vector<logm::Glsn>{},
+          [](net::Writer& out, logm::Glsn g) { out.u64(g); });
+    return std::move(w).take();
+  };
+  EXPECT_EQ(send(node(1), node(0), kAggregateExec, exec(9)), 1u);
+  EXPECT_EQ(count(kAggregateValue), 0u);
+  EXPECT_EQ(send(node(1), node(0), kAggregateExec, exec(1)), 0u);
+  EXPECT_EQ(count(kAggregateValue), 1u);
 }
 
 }  // namespace

@@ -19,12 +19,9 @@ std::shared_ptr<const bn::MontgomeryContext> make_ctx(const bn::BigUInt& m) {
   return std::make_shared<bn::MontgomeryContext>(m);
 }
 
-// Restores batching knobs after each test so ordering cannot leak state.
+// Restores the batching knob after each test so ordering cannot leak state.
 struct ModExpEngineTest : ::testing::Test {
-  void TearDown() override {
-    ModExpEngine::set_batch_threads(0);
-    ModExpEngine::set_batching_enabled(true);
-  }
+  void TearDown() override { ModExpEngine::set_batch_threads(0); }
 };
 
 TEST_F(ModExpEngineTest, MatchesGenericModexpOnRandomInputs) {
@@ -110,10 +107,11 @@ TEST_F(ModExpEngineTest, BatchingDisabledGivesIdenticalResults) {
   for (auto& v : a) v = bn::BigUInt::random_below(rng, p);
   b = a;
 
+  // Four threads fan the batch across the pool; one runs it on the calling
+  // thread.
   ModExpEngine::set_batch_threads(4);
-  ModExpEngine::set_batching_enabled(true);
   engine.pow_batch(a);
-  ModExpEngine::set_batching_enabled(false);
+  ModExpEngine::set_batch_threads(1);
   engine.pow_batch(b);
   EXPECT_EQ(a, b);
 }
@@ -130,13 +128,6 @@ TEST_F(ModExpEngineTest, CountersTrackPowsAndBatches) {
   engine.pow_batch(batch);
   ModExpStats stats = modexp_stats();
   EXPECT_EQ(stats.modexp_count, 42u);
-  EXPECT_EQ(stats.modexp_batch_count, 1u);
-
-  // Disabled batching still counts elements but not batches.
-  ModExpEngine::set_batching_enabled(false);
-  engine.pow_batch(batch);
-  stats = modexp_stats();
-  EXPECT_EQ(stats.modexp_count, 82u);
   EXPECT_EQ(stats.modexp_batch_count, 1u);
 
   reset_modexp_stats();

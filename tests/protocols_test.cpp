@@ -6,6 +6,7 @@
 #include <optional>
 #include <vector>
 
+#include "audit/bootstrap.hpp"
 #include "audit/cluster.hpp"
 #include "audit/metrics.hpp"
 #include "crypto/modexp_engine.hpp"
@@ -42,6 +43,57 @@ TEST_F(ProtocolFixture, ClusterConfigHelpers) {
   EXPECT_EQ(cfg.index_of(cfg.dla_nodes[2]), 2u);
   EXPECT_THROW(cfg.index_of(cfg.ttp), std::out_of_range);
   EXPECT_EQ(cfg.next_in_ring(3), cfg.dla_nodes[0]);  // wraps
+}
+
+// Cluster builds its shared state with make_bootstrap, so a simulated
+// cluster and a dla_noded fleet given the same options agree on every id,
+// the partition, the threshold key, each node's signing share and each
+// user's ticket.
+TEST(ClusterBootstrap, ClusterMatchesBootstrap) {
+  auto ticket_bytes = [](const Ticket& ticket) {
+    net::Writer w;
+    ticket.encode(w);
+    return std::move(w).take();
+  };
+  for (bool certify : {false, true}) {
+    for (std::size_t n : {std::size_t{3}, std::size_t{5}}) {
+      BootstrapOptions opt;
+      opt.schema = logm::paper_schema();
+      opt.dla_count = n;
+      opt.user_count = 2;
+      opt.seed = 9;
+      opt.auditor_users = true;
+      opt.certify_reports = certify;
+      const Bootstrap boot = make_bootstrap(opt);
+      Cluster cluster(Cluster::Options{opt.schema, n, opt.user_count,
+                                       std::nullopt, opt.seed,
+                                       opt.auditor_users, certify});
+      const ClusterConfig& want = *boot.config;
+      const ClusterConfig& got = *cluster.config();
+      EXPECT_EQ(got.dla_nodes, want.dla_nodes);
+      EXPECT_EQ(got.ttp, want.ttp);
+      EXPECT_EQ(cluster.ttp().id(), Bootstrap::ttp_id(opt));
+      EXPECT_EQ(got.threshold_params, want.threshold_params);
+      EXPECT_EQ(got.sign_threshold_k, want.sign_threshold_k);
+      ASSERT_EQ(got.partition.node_count(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(cluster.dla(i).id(), Bootstrap::dla_id(i));
+        EXPECT_EQ(got.partition.attributes_of(i),
+                  want.partition.attributes_of(i));
+        const auto& share = cluster.dla(i).signing_share();
+        ASSERT_EQ(share.has_value(), certify);
+        if (certify) {
+          EXPECT_EQ(share->index, boot.shares[i].index);
+          EXPECT_EQ(share->x_share, boot.shares[i].x_share);
+        }
+      }
+      for (std::size_t j = 0; j < opt.user_count; ++j) {
+        EXPECT_EQ(cluster.user(j).id(), Bootstrap::user_id(opt, j));
+        EXPECT_EQ(ticket_bytes(cluster.user(j).ticket()),
+                  ticket_bytes(make_user_node(boot, opt, j)->ticket()));
+      }
+    }
+  }
 }
 
 TEST_F(ProtocolFixture, TtpCountsSessionsServed) {
@@ -166,10 +218,10 @@ TEST_F(ProtocolFixture, SetIntersectionAllFourNodes) {
 
 TEST_F(ProtocolFixture, SetRingResultIdenticalWithBatchingOnAndOff) {
   // Differential: the same protocol run (same seed, same inputs) must
-  // produce bit-identical results whether batch fan-out is enabled or not.
-  auto run_once = [](bool batching) {
-    crypto::ModExpEngine::set_batching_enabled(batching);
-    crypto::ModExpEngine::set_batch_threads(batching ? 4 : 0);
+  // produce bit-identical results whether each batch fans out across four
+  // threads or runs on one.
+  auto run_once = [](std::size_t threads) {
+    crypto::ModExpEngine::set_batch_threads(threads);
     Cluster c(Cluster::Options{logm::paper_schema(), 4, 1,
                                logm::paper_partition(), /*seed=*/42,
                                /*auditor_users=*/true});
@@ -200,9 +252,8 @@ TEST_F(ProtocolFixture, SetRingResultIdenticalWithBatchingOnAndOff) {
     std::sort(result.begin(), result.end());
     return result;
   };
-  std::vector<bn::BigUInt> batched = run_once(true);
-  std::vector<bn::BigUInt> serial = run_once(false);
-  crypto::ModExpEngine::set_batching_enabled(true);
+  std::vector<bn::BigUInt> batched = run_once(4);
+  std::vector<bn::BigUInt> serial = run_once(1);
   crypto::ModExpEngine::set_batch_threads(0);
   ASSERT_EQ(batched.size(), 2u);  // {e, k}
   EXPECT_EQ(batched, serial);
@@ -440,6 +491,49 @@ TEST_F(SumWireFixture, ForgedSharesCannotCompleteTheSum) {
   EXPECT_EQ(*result, bn::BigUInt(10 + 20 + 30 + 40));
   EXPECT_EQ(wire_reject_counters().codec_rejects, 3u * 4u + 1u + 1u);
   EXPECT_EQ(residue(), 0u);
+}
+
+// A spec that does not list the node it reaches: P3 gets a kSumStart and a
+// kCmpParams for sessions of P0..P2. It deals no shares, sends no value and
+// keeps no state; each frame counts one codec reject.
+TEST_F(ProtocolFixture, MisroutedSumStartAndCmpParamsLeaveNoState) {
+  const auto& nodes = cluster.config()->dla_nodes;
+  const net::NodeId outsider = nodes[3];
+  SumSpec sum;
+  sum.session = 17;
+  sum.participants = {nodes[0], nodes[1], nodes[2]};
+  sum.threshold_k = 2;
+  sum.collector = nodes[0];
+  sum.observers = {nodes[0]};
+  CmpSpec cmp;
+  cmp.session = 27;
+  cmp.op = CmpOpKind::Equality;
+  cmp.participants = {nodes[0], nodes[1], nodes[2]};
+  cmp.ttp = cluster.config()->ttp;
+  cmp.observers = {nodes[0]};
+  cmp.a = bn::BigUInt(3);
+  cmp.b = bn::BigUInt(5);
+  std::size_t sent_by_outsider = 0;
+  cluster.sim().set_deliver_hook([&](const net::Message& m) {
+    if (m.src == outsider) ++sent_by_outsider;
+  });
+  reset_wire_reject_counters();
+  net::Writer start;
+  sum.encode(start);
+  cluster.sim().send(nodes[0], outsider, kSumStart, std::move(start).take());
+  net::Writer params;
+  cmp.encode(params, /*include_transform=*/true);
+  cluster.sim().send(nodes[0], outsider, kCmpParams,
+                     std::move(params).take());
+  EXPECT_NO_THROW(cluster.run());
+  EXPECT_EQ(sent_by_outsider, 0u);
+  EXPECT_EQ(wire_reject_counters().codec_rejects, 2u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(cluster.dla(i).session_residue(), 0u) << "node " << i;
+  }
+  EXPECT_EQ(cluster.ttp().session_residue(), 0u);
+  cluster.sim().set_deliver_hook(nullptr);
+  reset_wire_reject_counters();
 }
 
 // --------------------------------------------- blind-TTP comparisons --
